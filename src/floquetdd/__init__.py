@@ -35,7 +35,6 @@ from .errors import (
     ScenarioError,
     SidebandTruncationError,
     SteadyStateDegeneracyError,
-    StepUnderflowError,
     UndefinedMixingAngleError,
 )
 from .floquet import (

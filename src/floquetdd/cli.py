@@ -184,7 +184,7 @@ def _run_evolve(scenario: Scenario, outdir, threads: int) -> None:
     )
     rho0 = _initial_state(params["initial_state"], model_name)
     times = np.linspace(0.0, params["t_final"], n_times)
-    traj = evolve(model, rho0, times, substep_factor=scenario.numerics.substep_factor)
+    traj = evolve(model, rho0, times)
     pops = np.real(np.einsum("tii->ti", traj))
     basis = ("pp", "pm", "mp", "mm") if model_name == "fme" else ("ee", "eg", "ge", "gg")
     emit_csv(

@@ -27,7 +27,8 @@ from .bath import (
     omega_dd,
 )
 from .errors import NonCompletelyPositiveError, SidebandTruncationError
-from .floquet import SIGMA_X, DriveParams, FloquetSolution
+from .floquet import SIGMA_X, FloquetSolution
+from .lindblad import _add_dissipator
 
 _CONVERGED_RING_TOL = 1e-10
 
@@ -130,7 +131,6 @@ def coupling_coefficients(
     table: MatrixElementTable,
     sol: FloquetSolution,
     geometry: AtomGeometry,
-    drive: DriveParams | None = None,
 ) -> CouplingCoefficients:
     """Coupling coefficients c_++ and c_+- from sideband sums.
 
@@ -141,14 +141,13 @@ def coupling_coefficients(
     contribute more than 1e-10 of the larger coefficient, otherwise a
     :class:`SidebandTruncationError` asks for a larger table.
     """
-    if drive is None:
-        drive = sol.drive
+    omega = sol.drive.omega
     ms = table.m_values
     delta = sol.mu_plus - sol.mu_minus
     w_pp = np.abs(table.entries[PLUS, PLUS, :]) ** 2
     w_mp = np.abs(table.entries[MINUS, PLUS, :]) ** 2
-    om_pp = np.array([omega_dd(m * drive.omega, geometry) for m in ms])
-    om_pm = np.array([omega_dd(delta + m * drive.omega, geometry) for m in ms])
+    om_pp = np.array([omega_dd(m * omega, geometry) for m in ms])
+    om_pm = np.array([omega_dd(delta + m * omega, geometry) for m in ms])
     breakdown_pp = w_pp * om_pp
     breakdown_pm = w_mp * om_pm
 
@@ -276,10 +275,6 @@ def build_channels(
     return ChannelSet(rates=rates, operators=operators, labels=labels)
 
 
-def _sigma_x_coefficient(spectrum: np.ndarray, alpha: int, beta: int, m: int, n: int) -> complex:
-    return complex(spectrum[alpha, beta, m % n])
-
-
 def quasienergy_difference_classes(
     solutions: list, omega: float, tol_factor: float = 1e-9
 ) -> np.ndarray:
@@ -347,8 +342,7 @@ def build_D_operators(
                 row, col = index[bra], index[ket]
                 if abs((mus[col] - mus[row]) - delta_mu) > tol:
                     continue
-                elem = _sigma_x_coefficient(spectra[i], bra[i], ket[i], m, n)
-                ops[i][row, col] += elem
+                ops[i][row, col] += spectra[i][bra[i], ket[i], m % n]
     return ops
 
 
@@ -420,20 +414,8 @@ def dissipator_superoperator(channels) -> np.ndarray:
     Accepts any iterable of (rate, operator) pairs; useful to compare the
     closed-form six-channel set against the generic diagonalization.
     """
-    first = True
-    out = None
-    for rate, op in channels:
-        d = op.shape[0]
-        if first:
-            out = np.zeros((d * d, d * d), dtype=complex)
-            first = False
-        ident = np.eye(d, dtype=complex)
-        ldl = op.conj().T @ op
-        out += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(ldl, ident)
-            - 0.5 * np.kron(ident, ldl.T)
-        )
-    if out is None:
+    channels = list(channels)
+    if not channels:
         raise ValueError("no channels given")
-    return out
+    d = channels[0][1].shape[0]
+    return _add_dissipator(np.zeros((d * d, d * d), dtype=complex), channels)

@@ -49,9 +49,5 @@ class HierarchyViolationError(PhysicsError):
     """Time-scale hierarchy required for a comparison does not hold."""
 
 
-class StepUnderflowError(PhysicsError):
-    """Fixed-step integration would need an unreasonable number of steps."""
-
-
 class ScenarioError(Exception):
     """A scenario file is malformed or inconsistent."""

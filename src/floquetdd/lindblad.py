@@ -2,13 +2,14 @@
 
 Models are time independent (the Floquet-Markov equation is integrated in
 the interaction picture, the optical Bloch equations in the rotating
-frame), so evolution reduces to a fixed-step fourth-order Runge-Kutta
-integration of
+frame), so the master equation
 
     drho/dt = -i [H, rho] + sum_k g_k (L rho L^+ - {L^+ L, rho} / 2)
 
-with Hermitization after every step, plus a superoperator-matrix path for
-steady states and cross checks.
+is a constant linear map on the C-order vectorized state.  Evolution is
+exact: one superoperator exponential per distinct report interval,
+applied in order with Hermitization after every step.  The same
+superoperator matrix gives steady states and cross checks.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single, omega_dd
-from .errors import SteadyStateDegeneracyError, StepUnderflowError, HierarchyViolationError
-from .floquet import DriveParams, TimeGrid, dressed_states, floquet_solve
+from .errors import SteadyStateDegeneracyError, HierarchyViolationError
+from .floquet import SIGMA_X, SIGMA_Z, DriveParams, TimeGrid, dressed_states, floquet_solve
 
 _RATE_CLAMP_TOL = 1e-12
-_MAX_TOTAL_STEPS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -75,26 +75,31 @@ def validate_density_matrix(
     trace_tol: float = 1e-10,
     eig_floor: float = -1e-9,
 ) -> np.ndarray:
-    """Check Hermiticity, unit trace and near-positivity of a state."""
+    """Check Hermiticity, unit trace and near-positivity of a state.
+
+    Accepts one state (d, d) or a stack (..., d, d); every state in the
+    stack must pass.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
+    rho_dag = np.swapaxes(rho, -1, -2).conj()
+    if np.any(np.abs(rho - rho_dag) > herm_tol):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace.real - 1.0) > trace_tol) or np.any(np.abs(trace.imag) > trace_tol):
         raise ValueError("density matrix trace differs from one")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < eig_floor:
+    if np.any(np.linalg.eigvalsh(0.5 * (rho + rho_dag)) < eig_floor):
         raise ValueError("density matrix has a significantly negative eigenvalue")
     return rho
 
 
-def build_liouvillian(model: LindbladModel) -> np.ndarray:
-    """Superoperator matrix acting on C-order vectorized density matrices."""
-    d = model.dimension
-    ident = np.eye(d, dtype=complex)
-    h = model.hamiltonian
-    out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-    for rate, op in model.channels:
+def _add_dissipator(out: np.ndarray, channels) -> np.ndarray:
+    """Add sum_k g_k (L rho L^+ - {L^+L, rho}/2), C-order vec, to ``out`` in place."""
+    for rate, op in channels:
+        ident = np.eye(op.shape[0], dtype=complex)
         ldl = op.conj().T @ op
         out += rate * (
             np.kron(op, op.conj())
@@ -104,105 +109,43 @@ def build_liouvillian(model: LindbladModel) -> np.ndarray:
     return out
 
 
-def _channel_products(model: LindbladModel):
-    return tuple(
-        (rate, op, op.conj().T, op.conj().T @ op)
-        for rate, op in model.channels
-        if rate > 0.0
-    )
+def build_liouvillian(model: LindbladModel) -> np.ndarray:
+    """Superoperator matrix acting on C-order vectorized density matrices."""
+    ident = np.eye(model.dimension, dtype=complex)
+    h = model.hamiltonian
+    out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    return _add_dissipator(out, model.channels)
 
 
-def _rhs(h: np.ndarray, products, rho: np.ndarray) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for rate, op, op_dag, ldl in products:
-        out += rate * (op @ rho @ op_dag - 0.5 * (ldl @ rho + rho @ ldl))
-    return out
+def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
+    """Exact states of the master equation at the requested times.
 
-
-def _step_bound(model: LindbladModel, substep_factor: float) -> float:
-    """Largest allowed step: 1 / (factor * max(||H||, max rate))."""
-    h_norm = float(np.linalg.norm(model.hamiltonian, 2))
-    scale = max(h_norm, model.max_rate)
-    if scale == 0.0:
-        return np.inf
-    return 1.0 / (substep_factor * scale)
-
-
-def evolve(
-    model: LindbladModel,
-    rho0: np.ndarray,
-    times,
-    substep_factor: float = 150.0,
-) -> np.ndarray:
-    """Integrate the master equation; returns states at the requested times.
-
-    Classical fixed-step RK4 with Hermitization (rho -> (rho + rho^+)/2)
-    after every step; the step never exceeds 1/(substep_factor * scale)
-    with scale = max(||H||_2, max rate), and ``substep_factor`` must be at
-    least 50 so fourth-order error stays far below the trace/positivity
-    tolerances.
+    The generator is time independent, so the state after a report
+    interval dt is expm(L dt) applied to the previous one.  One exponential
+    is taken per distinct interval (the first interval runs from t = 0 to
+    ``times[0]``); the steps are applied in order, each followed by
+    Hermitization rho -> (rho + rho^+)/2.  Every returned state is checked
+    for Hermiticity, unit trace and near-positivity.
     """
-    if substep_factor < 50.0:
-        raise ValueError("substep_factor must be at least 50")
-    rho = validate_density_matrix(rho0).copy()
+    from scipy.linalg import expm
+
+    rho = validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-d array")
     if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
         raise ValueError("times must be non-negative and non-decreasing")
 
-    h_max = _step_bound(model, substep_factor)
-    ham = model.hamiltonian
-    products = _channel_products(model)
-    out = np.empty((times.size,) + rho.shape, dtype=complex)
-    t_now = 0.0
-    total_steps = 0
-    for idx, t_target in enumerate(times):
-        span = t_target - t_now
-        if span > 0.0 and np.isfinite(h_max):
-            n_steps = max(int(np.ceil(span / h_max)), 1)
-            total_steps += n_steps
-            if total_steps > _MAX_TOTAL_STEPS:
-                raise StepUnderflowError(
-                    "integration would need more than "
-                    f"{_MAX_TOTAL_STEPS} steps; rates and horizon are inconsistent"
-                )
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = _rhs(ham, products, rho)
-                k2 = _rhs(ham, products, rho + 0.5 * h * k1)
-                k3 = _rhs(ham, products, rho + 0.5 * h * k2)
-                k4 = _rhs(ham, products, rho + h * k3)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                rho = 0.5 * (rho + rho.conj().T)
-        t_now = t_target
-        out[idx] = rho
-    return out
-
-
-def _propagate_uniform(model: LindbladModel, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """States on a uniformly spaced time grid via the matrix exponential."""
-    from scipy.linalg import expm
-
-    steps = np.diff(times)
-    if steps.size and not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise ValueError("uniform propagation needs equally spaced times")
+    liou = build_liouvillian(model)
+    intervals, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    steppers = [expm(liou * dt) for dt in intervals]
     d = model.dimension
     out = np.empty((times.size, d, d), dtype=complex)
-    rho = validate_density_matrix(rho0).copy()
-    if times[0] != 0.0:
-        rho = (expm(build_liouvillian(model) * times[0]) @ rho.reshape(-1)).reshape(d, d)
-    out[0] = rho
-    if steps.size:
-        stepper = expm(build_liouvillian(model) * steps[0])
-        vec = rho.reshape(-1)
-        for k in range(1, times.size):
-            vec = stepper @ vec
-            rho = vec.reshape(d, d)
-            rho = 0.5 * (rho + rho.conj().T)
-            vec = rho.reshape(-1)
-            out[k] = rho
-    return out
+    for k, idx in enumerate(which):
+        rho = (steppers[idx] @ rho.reshape(-1)).reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        out[k] = rho
+    return validate_density_matrix(out)
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
@@ -233,13 +176,6 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     return rho
 
 
-def _pauli_ops():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    lower = np.array([[0, 0], [1, 0]], dtype=complex)
-    return sx, sz, lower
-
-
 def obe_reference(
     drive: DriveParams,
     geometry: AtomGeometry,
@@ -257,13 +193,13 @@ def obe_reference(
     """
     if n_atoms not in (1, 2):
         raise ValueError("the Bloch-equation reference supports 1 or 2 atoms")
-    sx, sz, lower = _pauli_ops()
+    lower = np.array([[0, 0], [1, 0]], dtype=complex)
     w_eg = drive.omega_eg
     g11_down = gamma_thermal_single(w_eg, geometry, bath)
     g11_up = gamma_thermal_single(-w_eg, geometry, bath)
 
     if n_atoms == 1:
-        h = 0.5 * drive.rabi * sx - 0.5 * drive.detuning * sz
+        h = 0.5 * drive.rabi * SIGMA_X - 0.5 * drive.detuning * SIGMA_Z
         channels = [(g11_down, lower)]
         if g11_up > 0.0:
             channels.append((g11_up, lower.conj().T))
@@ -271,7 +207,9 @@ def obe_reference(
 
     eye = np.eye(2, dtype=complex)
     one = lambda op, site: np.kron(op, eye) if site == 0 else np.kron(eye, op)
-    h = sum(0.5 * drive.rabi * one(sx, i) - 0.5 * drive.detuning * one(sz, i) for i in (0, 1))
+    h = sum(
+        0.5 * drive.rabi * one(SIGMA_X, i) - 0.5 * drive.detuning * one(SIGMA_Z, i) for i in (0, 1)
+    )
     raiser = lower.conj().T
     flip_flop = np.kron(raiser, lower) + np.kron(lower, raiser)
     h = h + omega_dd(w_eg, geometry) * flip_flop
@@ -368,7 +306,7 @@ def fme_vs_obe_compare(
     drive hierarchy 1/omega << 1/omega_gen << 1/|omega_dd| holds with the
     given margin factor and the quasienergy-spacing time scale is finite.
     Both models start in the same dressed product state and are advanced
-    with the superoperator exponential on the uniform report grid; the
+    with :func:`evolve` on the uniform report grid; the
     Bloch trajectory is rotated into the dressed basis and smoothed over a
     10/omega_gen window before the deviation is taken.
     """
@@ -414,10 +352,8 @@ def fme_vs_obe_compare(
     n_report = max(400, int(np.ceil(horizon / beat * samples_per_beat)))
     times = np.linspace(0.0, horizon, n_report + 1)
 
-    # Both generators are time independent, so the trajectory on the uniform
-    # report grid is one superoperator exponential applied repeatedly.
-    traj_f = _propagate_uniform(fme, rho_f0, times)
-    traj_o = _propagate_uniform(obe, rho_o0, times)
+    traj_f = evolve(fme, rho_f0, times)
+    traj_o = evolve(obe, rho_o0, times)
 
     pop_f = np.real(np.einsum("tii->ti", traj_f))
     dressed_o = np.einsum("ij,tjk,kl->til", w2.conj().T, traj_o, w2)

@@ -25,7 +25,7 @@ _TOP_KEYS = {"drive", "geometry", "bath", "numerics", "task"}
 _DRIVE_KEYS = {"omega", "rabi", "omega_eg", "detuning", "frequency_convention"}
 _GEOMETRY_KEYS = {"separation", "theta_d", "dipole_mag", "dipole_ea0", "positions", "dipole_axis"}
 _BATH_KEYS = {"temperature"}
-_NUMERICS_KEYS = {"n_samples", "sideband_cutoff", "substep_factor"}
+_NUMERICS_KEYS = {"n_samples", "sideband_cutoff"}
 
 
 @dataclass(frozen=True)
@@ -34,15 +34,12 @@ class Numerics:
 
     n_samples: int = 1024
     sideband_cutoff: int = 16
-    substep_factor: float = 150.0
 
     def __post_init__(self):
         if self.n_samples < 64 or (self.n_samples & (self.n_samples - 1)) != 0:
             raise ScenarioError("numerics.n_samples must be a power of two, at least 64")
         if self.sideband_cutoff < 1:
             raise ScenarioError("numerics.sideband_cutoff must be positive")
-        if self.substep_factor < 50:
-            raise ScenarioError("numerics.substep_factor must be at least 50")
 
 
 @dataclass(frozen=True)
@@ -158,8 +155,6 @@ def _parse_numerics(block) -> Numerics:
         kwargs["n_samples"] = int(_require_number(block, "n_samples", "numerics"))
     if "sideband_cutoff" in block:
         kwargs["sideband_cutoff"] = int(_require_number(block, "sideband_cutoff", "numerics"))
-    if "substep_factor" in block:
-        kwargs["substep_factor"] = _require_number(block, "substep_factor", "numerics")
     return Numerics(**kwargs)
 
 

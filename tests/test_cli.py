@@ -181,7 +181,7 @@ class TestPipelineCommands:
 
     def test_evolve_obe_model(self, tmp_path):
         # resonant, undriven: the Bloch model has no detuning term, so the
-        # step bound follows the (comparable) decay and exchange scales
+        # dynamics run on the (comparable) decay and exchange scales
         scenario = write_scenario(
             tmp_path,
             drive={
@@ -267,8 +267,10 @@ class TestPipelineCommands:
         assert table.rows[0][0] == table.rows[1][0] == table.rows[2][0]
         assert table.rows[0][1] < table.rows[1][1] < table.rows[2][1]
 
-    def test_compare(self, tmp_path):
-        scenario = write_scenario(tmp_path, task={"horizon": 5e-6})
+    # 3.1e-5 s: the np.linspace report grid has several distinct spacings
+    @pytest.mark.parametrize("horizon", [5e-6, 3.1e-5])
+    def test_compare(self, tmp_path, horizon):
+        scenario = write_scenario(tmp_path, task={"horizon": horizon})
         out = tmp_path / "out"
         assert run("compare", scenario, out) == 0
         bundle = json.loads((out / "compare.json").read_text())
