@@ -400,6 +400,11 @@ def _run_compare(scenario: Scenario, outdir, threads: int) -> None:
 def _run_reproduce_paper(scenario: Scenario, outdir, threads: int) -> None:
     """Quantitative endpoints: interaction energy, J ratios, coefficient check."""
     drive = scenario.drive
+    if drive.rabi == 0.0:  # theta_m is 0 or pi: J_zz ~ sin^2(theta_m) vanishes
+        raise PhysicsError(
+            "reproduce-paper needs a driven atom: at rabi = 0 J_zz vanishes and "
+            "J_xx/J_zz is undefined; give the drive a non-zero rabi"
+        )
     geometry = scenario.geometry
     raw_drive = scenario.raw["drive"]
     raw_omega_eg = (
@@ -474,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True, help="path to the JSON scenario")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
         p.add_argument("--threads", type=int, default=1, help="worker threads for scans")
-        p.add_argument("--seed", type=int, default=None, help="reserved, currently unused")
     return parser
 
 

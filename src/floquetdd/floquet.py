@@ -5,11 +5,14 @@ is
 
     H(t) = rabi * cos(omega * t) * sigma_x + (omega_eg / 2) * sigma_z
 
-All frequencies are angular (rad/s).  The one-period propagator is built
-from exact 2x2 exponentials of a fourth-order commutator-free Magnus step,
-so every sample is unitary by construction.  Quasienergies are folded into
-the zone ``(-omega/2, omega/2]`` and the two Floquet branches are labelled
-"+" / "-" by overlap with the analytic weak-drive dressed states.
+All frequencies are angular (rad/s).  Propagators are products of exact
+2x2 exponentials of a fourth-order commutator-free Magnus (CF4) step.  H is
+traceless, so they lie in SU(2) and are held as pairs (alpha, beta) of
+U = [[alpha, beta], [-conj(beta), conj(alpha)]], multiplied elementwise;
+one step builder feeds both the per-sample propagation (a log-depth prefix
+scan) and the cell-vectorized quasienergy map.  Quasienergies are folded
+into the zone ``(-omega/2, omega/2]`` and the two Floquet branches are
+labelled "+" / "-" by overlap with the analytic weak-drive dressed states.
 """
 
 from __future__ import annotations
@@ -176,37 +179,32 @@ def fold_to_zone(mu: float, omega: float) -> float:
     return float(folded)
 
 
-def _su2_exponentials(px: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    """exp(-i (px*sigma_x + pz*sigma_z)) for arrays of coefficients.
+def _su2_exponentials(px: np.ndarray, pz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i (px*sigma_x + pz*sigma_z)) as the SU(2) pair (alpha, beta).
 
-    Exact for every input; returns shape ``px.shape + (2, 2)``.
+    The pair stands for U = [[alpha, beta], [-conj(beta), conj(alpha)]].
+    Exact for every input; broadcasts over the coefficient arrays.
     """
-    px, pz = np.broadcast_arrays(
-        np.asarray(px, dtype=float), np.asarray(pz, dtype=float)
-    )
     angle = np.hypot(px, pz)
     # sin(a)/a is 1 at a=0; the where-guard avoids 0/0.
     safe = np.where(angle == 0.0, 1.0, angle)
     sinc = np.where(angle == 0.0, 1.0, np.sin(safe) / safe)
-    cos = np.cos(angle)
-    out = np.empty(px.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cos - 1j * sinc * pz
-    out[..., 0, 1] = -1j * sinc * px
-    out[..., 1, 0] = -1j * sinc * px
-    out[..., 1, 1] = cos + 1j * sinc * pz
-    return out
+    return np.cos(angle) - 1j * sinc * pz, -1j * sinc * px
 
 
-def _step_matrices(drive: DriveParams, grid: TimeGrid) -> np.ndarray:
-    """Per-step CF4 propagators U(t_{k+1}, t_k), shape (n_samples, 2, 2)."""
-    dt = grid.period / grid.n_samples
-    t0 = np.arange(grid.n_samples) * dt
-    hx1 = drive.rabi * np.cos(drive.omega * (t0 + _CF4_NODE_1 * dt))
-    hx2 = drive.rabi * np.cos(drive.omega * (t0 + _CF4_NODE_2 * dt))
-    hz = 0.5 * drive.omega_eg
-    first = _su2_exponentials(dt * (_CF4_A2 * hx1 + _CF4_A1 * hx2), dt * 0.5 * hz)
-    second = _su2_exponentials(dt * (_CF4_A1 * hx1 + _CF4_A2 * hx2), dt * 0.5 * hz)
-    return second @ first
+def _su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """The SU(2) pair of U1 @ U2, elementwise over broadcast pairs."""
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _cf4_steps(rabi, omega_eg, omega: float, dt: float, t0) -> tuple[np.ndarray, np.ndarray]:
+    """SU(2) pairs of the CF4 step U(t0 + dt, t0), broadcast over the inputs."""
+    hx1 = rabi * np.cos(omega * (t0 + _CF4_NODE_1 * dt))
+    hx2 = rabi * np.cos(omega * (t0 + _CF4_NODE_2 * dt))
+    pz = dt * 0.5 * (0.5 * omega_eg)
+    first = _su2_exponentials(dt * (_CF4_A2 * hx1 + _CF4_A1 * hx2), pz)
+    second = _su2_exponentials(dt * (_CF4_A1 * hx1 + _CF4_A2 * hx2), pz)
+    return _su2_product(*second, *first)
 
 
 def propagate_period(drive: DriveParams, grid: TimeGrid) -> np.ndarray:
@@ -214,14 +212,26 @@ def propagate_period(drive: DriveParams, grid: TimeGrid) -> np.ndarray:
 
     Entry k is U(t_k, 0) with t_k = k * period / n_samples; entry 0 is the
     identity and the last entry is the one-period (monodromy) propagator.
-    Every entry is unitary to machine precision because each step is an
-    exact 2x2 exponential.
+    Each CF4 step is an exact 2x2 exponential held as an SU(2) pair
+    (alpha, beta); the prefix products of all steps come from a log-depth
+    (Hillis-Steele) scan, log2(n_samples) elementwise pair products, so
+    every entry has the SU(2) form exactly and is unitary to round-off.
     """
-    steps = _step_matrices(drive, grid)
+    dt = grid.period / grid.n_samples
+    a, b = _cf4_steps(
+        drive.rabi, drive.omega_eg, drive.omega, dt, np.arange(grid.n_samples) * dt
+    )
+    shift = 1
+    while shift < grid.n_samples:
+        # Later steps act from the left: x[k] <- x[k] @ x[k - shift].
+        a[shift:], b[shift:] = _su2_product(a[shift:], b[shift:], a[:-shift], b[:-shift])
+        shift *= 2
     out = np.empty((grid.n_samples + 1, 2, 2), dtype=complex)
     out[0] = np.eye(2)
-    for k in range(grid.n_samples):
-        out[k + 1] = steps[k] @ out[k]
+    out[1:, 0, 0] = a
+    out[1:, 0, 1] = b
+    out[1:, 1, 0] = -np.conj(b)
+    out[1:, 1, 1] = np.conj(a)
     return out
 
 
@@ -351,21 +361,12 @@ def quasienergy_magnitude_map(
 
     rr = rabi[:, None]
     ee = omega_eg[None, :]
-    shape = (rabi.size, omega_eg.size)
-    hz = np.broadcast_to(0.5 * ee, shape)
-
-    u = np.broadcast_to(np.eye(2, dtype=complex), shape + (2, 2)).copy()
-    t0 = np.arange(n_samples) * dt
-    cos1 = np.cos(omega * (t0 + _CF4_NODE_1 * dt))
-    cos2 = np.cos(omega * (t0 + _CF4_NODE_2 * dt))
+    a = np.ones((rabi.size, omega_eg.size), dtype=complex)
+    b = np.zeros_like(a)
     for k in range(n_samples):
-        hx1 = rr * cos1[k]
-        hx2 = rr * cos2[k]
-        first = _su2_exponentials(dt * (_CF4_A2 * hx1 + _CF4_A1 * hx2), dt * 0.5 * hz)
-        second = _su2_exponentials(dt * (_CF4_A1 * hx1 + _CF4_A2 * hx2), dt * 0.5 * hz)
-        u = second @ (first @ u)
+        a, b = _su2_product(*_cf4_steps(rr, ee, omega, dt, k * dt), a, b)
 
-    half_trace = 0.5 * np.real(u[..., 0, 0] + u[..., 1, 1])
-    half_trace = np.clip(half_trace, -1.0, 1.0)
+    # tr U = alpha + conj(alpha) for an SU(2) pair.
+    half_trace = np.clip(np.real(a), -1.0, 1.0)
     mu_abs = np.arccos(half_trace) / period
     return mu_abs, half_trace

@@ -11,7 +11,7 @@ bundle and is reported on stderr by the command line layer instead.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,18 +103,13 @@ def json_to_matrix(obj: dict) -> np.ndarray:
 
 @dataclass
 class ResultBundle:
-    """Inputs echo plus per-task outputs of one command-line run.
-
-    ``timing_s`` is kept in memory for logging but never serialized, so
-    repeated runs on identical scenarios stay byte-identical.
-    """
+    """Inputs echo plus per-task outputs of one command-line run."""
 
     task: str
     inputs: dict
     outputs: dict
     version: str
     schema_version: str = SCHEMA_VERSION
-    timing_s: float | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import AtomGeometry, BathParams, omega_dd
-from .errors import DegenerateQuasienergiesError
+from .errors import DegenerateQuasienergiesError, UndefinedMixingAngleError
 from .floquet import (
     DriveParams,
     FloquetSolution,
@@ -24,7 +24,6 @@ from .floquet import (
     floquet_solve,
     quasienergy_magnitude_map,
 )
-from .errors import UndefinedMixingAngleError
 
 _DIVERGENCE_TOL = 1e-12
 

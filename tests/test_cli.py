@@ -123,9 +123,11 @@ class TestErrorPaths:
     def test_io_error_exit_three(self, tmp_path):
         assert run("floquet", tmp_path / "missing.json", tmp_path / "out") == 3
 
-    def test_usage_error_exit_one(self):
+    def test_usage_error_exit_one(self, tmp_path):
         assert main(["floquet"]) == 1
         assert main(["not-a-command"]) == 1
+        scenario = write_scenario(tmp_path)
+        assert run("floquet", scenario, tmp_path / "out", "--seed", "7") == 1
 
     def test_compare_refusal_exit_two(self, tmp_path):
         scenario = write_scenario(
@@ -203,7 +205,7 @@ class TestPipelineCommands:
             },
         )
         out = tmp_path / "out"
-        assert run("evolve", scenario, out, "--seed", "7") == 0
+        assert run("evolve", scenario, out) == 0
         table = read_csv(out / "trajectory.csv")
         assert table.columns[1:5] == ("pop_ee", "pop_eg", "pop_ge", "pop_gg")
         # decay moves population toward the ground pair
@@ -290,3 +292,20 @@ class TestPipelineCommands:
         assert values["c_pp_rel_dev"] < 0.02
         bundle = json.loads((out / "paper_endpoints.json").read_text())
         assert bundle["outputs"]["hierarchy_ok"] is True
+
+    # Undriven: theta_m = 0 above resonance and pi below it; J_zz vanishes.
+    @pytest.mark.parametrize("omega_eg", [1.6e10, 0.6e10])
+    def test_reproduce_paper_undriven_exit_two(self, tmp_path, capsys, omega_eg):
+        scenario = write_scenario(
+            tmp_path,
+            drive={
+                "omega": 1e10,
+                "rabi": 0.0,
+                "omega_eg": omega_eg,
+                "frequency_convention": "angular",
+            },
+        )
+        out = tmp_path / "out"
+        assert run("reproduce-paper", scenario, out) == 2
+        assert "non-zero rabi" in capsys.readouterr().err
+        assert not (out / "paper_endpoints.csv").exists()

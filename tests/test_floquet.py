@@ -17,6 +17,22 @@ from floquetdd.floquet import (
 OMEGA = 1e10
 
 
+def sequential_cf4_propagators(drive, n):
+    """Reference U(t_k, 0): the CF4 steps as scipy expm, multiplied one by one."""
+    from scipy.linalg import expm
+
+    dt = drive.period / n
+    c1, c2 = 0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0
+    a1, a2 = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
+    out = [np.eye(2, dtype=complex)]
+    for k in range(n):
+        h1 = drive.hamiltonian((k + c1) * dt)
+        h2 = drive.hamiltonian((k + c2) * dt)
+        step = expm(-1j * dt * (a1 * h1 + a2 * h2)) @ expm(-1j * dt * (a2 * h1 + a1 * h2))
+        out.append(step @ out[-1])
+    return np.array(out)
+
+
 def solve(rabi, omega_eg, n=1024, omega=OMEGA):
     drive = DriveParams(omega=omega, rabi=rabi, omega_eg=omega_eg)
     return floquet_solve(drive, TimeGrid.for_drive(drive, n))
@@ -63,6 +79,15 @@ class TestPropagatePeriod:
                 ]
             )
             np.testing.assert_allclose(props[k], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 2048])
+    @pytest.mark.parametrize("rabi_frac", [0.0, 0.8])
+    @pytest.mark.parametrize("omega_eg_frac", [0.1, 1.9])
+    def test_every_sample_matches_sequential_product(self, n, rabi_frac, omega_eg_frac):
+        drive = DriveParams(omega=OMEGA, rabi=rabi_frac * OMEGA, omega_eg=omega_eg_frac * OMEGA)
+        props = propagate_period(drive, TimeGrid.for_drive(drive, n))
+        reference = sequential_cf4_propagators(drive, n)
+        assert np.max(np.abs(props - reference)) <= 1e-13
 
     def test_unitarity(self):
         drive = DriveParams(omega=OMEGA, rabi=0.6 * OMEGA, omega_eg=1.3 * OMEGA)
@@ -240,13 +265,15 @@ class TestDriveParams:
 
 class TestQuasienergyMap:
     def test_matches_full_solve(self):
-        rabi = np.array([0.1 * OMEGA, 0.3 * OMEGA])
+        rabi = np.array([0.0, 0.1 * OMEGA, 0.3 * OMEGA])
         omega_eg = np.array([0.8 * OMEGA, 1.2 * OMEGA])
-        mu_abs, _ = quasienergy_magnitude_map(rabi, omega_eg, OMEGA, n_samples=512)
+        mu_abs, half_trace = quasienergy_magnitude_map(rabi, omega_eg, OMEGA, n_samples=512)
         for i, r in enumerate(rabi):
             for j, w in enumerate(omega_eg):
                 sol = solve(r, w, n=512)
                 assert mu_abs[i, j] == pytest.approx(abs(sol.mu_plus), rel=1e-10)
+                monodromy = propagate_period(sol.drive, sol.grid)[-1]
+                assert abs(half_trace[i, j] - 0.5 * np.trace(monodromy).real) <= 1e-13
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

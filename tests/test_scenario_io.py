@@ -193,7 +193,6 @@ class TestJsonEmission:
             inputs={"drive": {"omega": 1e10}},
             outputs={"value": 1.25, "list": [1.0, 2.0]},
             version="0.1.0",
-            timing_s=12.5,
         )
         path = tmp_path / "b.json"
         emit_json(bundle, path)
@@ -201,8 +200,6 @@ class TestJsonEmission:
         assert back.task == "demo"
         assert back.outputs == bundle.outputs
         assert back.inputs == bundle.inputs
-        # timing never serializes
-        assert "timing" not in path.read_text()
 
     def test_matrix_round_trip(self):
         m = np.array([[1.0 + 2.0j, 0.0], [3.5, -1.0j]])
