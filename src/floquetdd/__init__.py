@@ -4,33 +4,24 @@ two-level atom pairs in a shared electromagnetic bath."""
 from .bath import (
     AtomGeometry,
     BathParams,
-    SpectralValue,
     gamma_pair,
     gamma_single,
     gamma_thermal_pair,
     gamma_thermal_single,
     omega_dd,
-    pair_spectral_value,
-    thermal_occupation,
 )
 from .dipole import (
     ChannelSet,
     CouplingCoefficients,
     MatrixElementTable,
     build_channels,
-    build_D_operators,
     build_hdp2,
     coupling_coefficients,
-    diagonalize_dissipator,
-    dissipator_blocks,
-    dissipator_superoperator,
     matrix_elements,
-    quasienergy_difference_classes,
 )
 from .errors import (
     DegenerateQuasienergiesError,
     HierarchyViolationError,
-    NonCompletelyPositiveError,
     PhysicsError,
     ScenarioError,
     SidebandTruncationError,
@@ -65,7 +56,6 @@ from .scenario import Numerics, Scenario, load_scenario, parse_scenario_dict
 from .spin import (
     JTensor,
     build_spin_hamiltonian,
-    dressed_bare_equivalence,
     j_tensor,
     pair_geometries_from_positions,
 )

@@ -114,18 +114,6 @@ class BathParams:
             raise ValueError("temperature must be non-negative and finite")
 
 
-@dataclass(frozen=True)
-class SpectralValue:
-    """Decay-rate / interaction-energy pair at one frequency."""
-
-    gamma: float
-    omega_dd: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.gamma) and np.isfinite(self.omega_dd)):
-            raise ValueError("spectral values must be finite")
-
-
 def _xi_cos_minus_sin(xi: float) -> float:
     """xi*cos(xi) - sin(xi), stable at small xi (~ -xi^3/3)."""
     if xi < _XI_SERIES_THRESHOLD:
@@ -180,25 +168,6 @@ def omega_dd(omega: float, geometry: AtomGeometry) -> float:
     )
     mu2 = geometry.dipole_mag**2
     return mu2 / (4.0 * np.pi * EPS0 * HBAR * r**3) * bracket
-
-
-def pair_spectral_value(omega: float, geometry: AtomGeometry) -> SpectralValue:
-    """Collective rate and interaction energy bundled for one frequency."""
-    return SpectralValue(
-        gamma=gamma_pair(omega, geometry), omega_dd=omega_dd(omega, geometry)
-    )
-
-
-def thermal_occupation(omega_abs: float, bath: BathParams) -> float:
-    """Bose occupation 1 / (exp(hbar w / kB T) - 1) at w = |omega| > 0."""
-    if omega_abs <= 0.0:
-        raise ValueError("thermal occupation needs a positive frequency")
-    if bath.temperature == 0.0:
-        return 0.0
-    x = HBAR * omega_abs / (K_BOLTZMANN * bath.temperature)
-    if x > 700.0:  # expm1 overflows just above 709; occupation ~ 1e-305 there
-        return 0.0
-    return 1.0 / math.expm1(x)
 
 
 def _thermal_weighted(rate_abs: float, nu: float, bath: BathParams) -> float:

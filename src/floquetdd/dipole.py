@@ -2,9 +2,8 @@
 
 Combines a single-atom Floquet solution with the reservoir spectral
 functions: sideband-resolved matrix elements of sigma_x, the two coupling
-coefficients of the dressed-pair interaction Hamiltonian, the six decay
-channels of the two-atom Lindblad equation, and general-N jump-operator
-builders.
+coefficients of the dressed-pair interaction Hamiltonian and the six decay
+channels of the two-atom Lindblad equation.
 
 Two-atom matrices use the product Floquet basis in the fixed ordering
 ``{|++>, |+->, |-+>, |-->}``.  Sideband index convention:
@@ -14,7 +13,6 @@ Two-atom matrices use the product Floquet basis in the fixed ordering
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,15 +24,12 @@ from .bath import (
     gamma_thermal_single,
     omega_dd,
 )
-from .errors import NonCompletelyPositiveError, SidebandTruncationError
+from .errors import SidebandTruncationError
 from .floquet import SIGMA_X, FloquetSolution
-from .lindblad import _add_dissipator
 
 _CONVERGED_RING_TOL = 1e-10
 
 PLUS, MINUS = 0, 1
-
-_BASIS_LABELS = ("++", "+-", "-+", "--")
 
 
 @dataclass(frozen=True)
@@ -273,149 +268,3 @@ def build_channels(
         "raising antisymmetric",
     )
     return ChannelSet(rates=rates, operators=operators, labels=labels)
-
-
-def quasienergy_difference_classes(
-    solutions: list, omega: float, tol_factor: float = 1e-9
-) -> np.ndarray:
-    """Distinct pairwise product-quasienergy differences, grouped within tolerance.
-
-    Product quasienergies are plain sums of the folded single-atom ones;
-    differences closer than ``tol_factor * omega`` fall into one class and
-    are represented by their mean.  Sorted ascending.
-    """
-    mus = _product_quasienergies(solutions)
-    diffs = np.sort((mus[None, :] - mus[:, None]).ravel())
-    tol = tol_factor * omega
-    classes = []
-    start = 0
-    for i in range(1, diffs.size + 1):
-        if i == diffs.size or diffs[i] - diffs[i - 1] > tol:
-            classes.append(diffs[start:i].mean())
-            start = i
-    return np.array(classes)
-
-
-def _product_quasienergies(solutions: list) -> np.ndarray:
-    singles = [(s.mu_plus, s.mu_minus) for s in solutions]
-    mus = []
-    for combo in itertools.product((0, 1), repeat=len(solutions)):
-        mus.append(sum(singles[i][b] for i, b in enumerate(combo)))
-    return np.array(mus)
-
-
-def build_D_operators(
-    solutions: list,
-    m: int,
-    delta_mu: float,
-    tol_factor: float = 1e-9,
-) -> list[np.ndarray]:
-    """Per-atom secular jump blocks D_m^i at quasienergy difference delta_mu.
-
-    For N atoms (N <= 6) in the product Floquet basis at t = 0:
-
-        D_m^i = sum_{mu_B - mu_A = delta_mu} <<phi_a|sigma_x_i|phi_b>>_m |A><B|
-
-    where only the atom-i branch differs between A and B.  Differences are
-    matched within ``tol_factor * omega``; an empty match yields the zero
-    operator.
-    """
-    n_atoms = len(solutions)
-    if n_atoms < 1 or n_atoms > 6:
-        raise ValueError("supported atom counts are 1..6")
-    omega = solutions[0].drive.omega
-    tol = tol_factor * omega
-    n = solutions[0].grid.n_samples
-    spectra = [_sigma_x_spectrum(s) for s in solutions]
-    singles = [(s.mu_plus, s.mu_minus) for s in solutions]
-
-    combos = list(itertools.product((0, 1), repeat=n_atoms))
-    index = {c: i for i, c in enumerate(combos)}
-    mus = _product_quasienergies(solutions)
-
-    dim = 2**n_atoms
-    ops = [np.zeros((dim, dim), dtype=complex) for _ in range(n_atoms)]
-    for i in range(n_atoms):
-        for bra in combos:  # A: target of the jump
-            for a_branch in (0, 1):
-                ket = bra[:i] + (a_branch,) + bra[i + 1 :]  # B: source
-                row, col = index[bra], index[ket]
-                if abs((mus[col] - mus[row]) - delta_mu) > tol:
-                    continue
-                ops[i][row, col] += spectra[i][bra[i], ket[i], m % n]
-    return ops
-
-
-def dissipator_blocks(
-    table: MatrixElementTable,
-    sol: FloquetSolution,
-    geometry: AtomGeometry,
-    bath: BathParams,
-) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """Generic (rate-matrix, jump-operator) blocks of the two-atom dissipator.
-
-    One block per (m, delta_mu) combination with the 2x2 thermal rate matrix
-    [[G11, G12], [G12, G11]] at argument m w + delta_mu and the per-atom
-    secular operators from :func:`build_D_operators`.  Blocks whose operators
-    vanish are dropped.
-    """
-    omega = sol.drive.omega
-    classes = quasienergy_difference_classes([sol, sol], omega)
-    blocks = []
-    for delta_mu in classes:
-        for m in table.m_values:
-            ops = build_D_operators([sol, sol], int(m), float(delta_mu))
-            if all(np.allclose(op, 0.0, atol=0.0) for op in ops):
-                continue
-            arg = m * omega + delta_mu
-            g11 = gamma_thermal_single(arg, geometry, bath)
-            g12 = gamma_thermal_pair(arg, geometry, bath)
-            gamma_matrix = np.array([[g11, g12], [g12, g11]])
-            blocks.append((gamma_matrix, ops))
-    return blocks
-
-
-def diagonalize_dissipator(
-    blocks: list[tuple[np.ndarray, list[np.ndarray]]],
-) -> list[tuple[float, np.ndarray]]:
-    """Diagonal Lindblad channels from rate-matrix blocks.
-
-    Each Hermitian positive-semidefinite rate matrix is eigendecomposed and
-    its eigenvectors combine the jump operators; for the symmetric 2x2 case
-    this yields rates Gamma_11 +- Gamma_12 with (D_1 +- D_2)/sqrt(2).
-    Raises :class:`NonCompletelyPositiveError` on a genuinely negative
-    eigenvalue; round-off negatives are clamped to zero.
-    """
-    channels = []
-    for gamma_matrix, ops in blocks:
-        gm = np.asarray(gamma_matrix, dtype=complex)
-        scale = float(np.linalg.norm(gm))
-        if scale == 0.0:
-            continue
-        if np.max(np.abs(gm - gm.conj().T)) > 1e-12 * scale:
-            raise ValueError("rate matrix must be Hermitian")
-        values, vectors = np.linalg.eigh(gm)
-        if values.min() < -1e-10 * values.max():
-            raise NonCompletelyPositiveError(
-                f"rate matrix has negative eigenvalue {values.min():.3e}"
-            )
-        for k in range(values.size):
-            rate = float(max(values[k], 0.0))
-            if rate == 0.0:
-                continue
-            jump = sum(vectors[i, k] * ops[i] for i in range(len(ops)))
-            channels.append((rate, jump))
-    return channels
-
-
-def dissipator_superoperator(channels) -> np.ndarray:
-    """Matrix of rho -> sum_k g_k (L rho L^+ - {L^+L, rho}/2), C-order vec.
-
-    Accepts any iterable of (rate, operator) pairs; useful to compare the
-    closed-form six-channel set against the generic diagonalization.
-    """
-    channels = list(channels)
-    if not channels:
-        raise ValueError("no channels given")
-    d = channels[0][1].shape[0]
-    return _add_dissipator(np.zeros((d * d, d * d), dtype=complex), channels)

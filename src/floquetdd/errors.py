@@ -27,14 +27,6 @@ class SidebandTruncationError(PhysicsError):
     """A sideband sum did not converge within the available cutoff."""
 
 
-class NonCompletelyPositiveError(PhysicsError):
-    """A rate matrix has a genuinely negative eigenvalue.
-
-    Signals invalid spectral inputs: the dissipator would not generate a
-    completely positive evolution.
-    """
-
-
 class SteadyStateDegeneracyError(PhysicsError):
     """The Liouvillian null space is not one dimensional."""
 

@@ -147,18 +147,6 @@ class FloquetSolution:
     fourier: np.ndarray
     truncation: int
 
-    @property
-    def quasienergies(self) -> tuple[float, float]:
-        return (self.mu_plus, self.mu_minus)
-
-    def mode(self, branch: int) -> np.ndarray:
-        return self.modes[branch]
-
-    def fourier_amplitude(self, branch: int, n: int) -> np.ndarray:
-        if abs(n) > self.truncation:
-            raise ValueError(f"sideband index {n} beyond truncation {self.truncation}")
-        return self.fourier[branch, self.truncation + n]
-
     def sideband_weights(self, branch: int) -> np.ndarray:
         """|phi^(n)|^2 summed over components, n = -truncation..truncation."""
         return np.sum(np.abs(self.fourier[branch]) ** 2, axis=-1)

@@ -20,8 +20,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single, omega_dd
+from .dipole import build_channels, build_hdp2, coupling_coefficients, matrix_elements
 from .errors import SteadyStateDegeneracyError, HierarchyViolationError
-from .floquet import SIGMA_X, SIGMA_Z, DriveParams, TimeGrid, dressed_states, floquet_solve
+from .floquet import (
+    SIGMA_X,
+    SIGMA_Z,
+    DriveParams,
+    FloquetSolution,
+    TimeGrid,
+    dressed_states,
+    floquet_solve,
+)
+from .validity import timescale_report
 
 _RATE_CLAMP_TOL = 1e-12
 
@@ -96,10 +106,12 @@ def validate_density_matrix(
     return rho
 
 
-def _add_dissipator(out: np.ndarray, channels) -> np.ndarray:
-    """Add sum_k g_k (L rho L^+ - {L^+L, rho}/2), C-order vec, to ``out`` in place."""
-    for rate, op in channels:
-        ident = np.eye(op.shape[0], dtype=complex)
+def build_liouvillian(model: LindbladModel) -> np.ndarray:
+    """Superoperator matrix acting on C-order vectorized density matrices."""
+    ident = np.eye(model.dimension, dtype=complex)
+    h = model.hamiltonian
+    out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    for rate, op in model.channels:
         ldl = op.conj().T @ op
         out += rate * (
             np.kron(op, op.conj())
@@ -107,14 +119,6 @@ def _add_dissipator(out: np.ndarray, channels) -> np.ndarray:
             - 0.5 * np.kron(ident, ldl.T)
         )
     return out
-
-
-def build_liouvillian(model: LindbladModel) -> np.ndarray:
-    """Superoperator matrix acting on C-order vectorized density matrices."""
-    ident = np.eye(model.dimension, dtype=complex)
-    h = model.hamiltonian
-    out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-    return _add_dissipator(out, model.channels)
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
@@ -174,6 +178,19 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     if residual > 1e-10 * max(np.linalg.norm(liou), 1.0):
         raise SteadyStateDegeneracyError(2)
     return rho
+
+
+def fme_model(sol: FloquetSolution, geometry: AtomGeometry, bath: BathParams) -> LindbladModel:
+    """Floquet-Markov model of the driven pair in the product Floquet basis.
+
+    The Hamiltonian is the dressed-pair dipole Hamiltonian from the coupling
+    coefficients and the channels are the six collective decay channels,
+    both from the sideband matrix elements of ``sol``.
+    """
+    table = matrix_elements(sol)
+    coeff = coupling_coefficients(table, sol, geometry)
+    channels = build_channels(table, sol, geometry, bath)
+    return LindbladModel(hamiltonian=build_hdp2(coeff), channels=tuple(channels))
 
 
 def obe_reference(
@@ -310,9 +327,6 @@ def fme_vs_obe_compare(
     Bloch trajectory is rotated into the dressed basis and smoothed over a
     10/omega_gen window before the deviation is taken.
     """
-    from .dipole import build_channels, build_hdp2, coupling_coefficients, matrix_elements
-    from .validity import timescale_report
-
     report = timescale_report(drive, geometry, bath, n_samples=n_samples, margin=margin)
     scales_ok = (
         report.hierarchy_ok
@@ -334,13 +348,7 @@ def fme_vs_obe_compare(
     rho_f0 = np.zeros((4, 4), dtype=complex)
     rho_f0[labels[initial_label], labels[initial_label]] = 1.0
 
-    sol = floquet_solve(drive, TimeGrid.for_drive(drive, n_samples))
-    table = matrix_elements(sol)
-    coeff = coupling_coefficients(table, sol, geometry)
-    fme = LindbladModel(
-        hamiltonian=build_hdp2(coeff),
-        channels=tuple(build_channels(table, sol, geometry, bath)),
-    )
+    fme = fme_model(floquet_solve(drive, TimeGrid.for_drive(drive, n_samples)), geometry, bath)
     obe = obe_reference(drive, geometry, bath, n_atoms=2)
 
     # Dressed single-atom frame at t=0: columns |+>, |->.

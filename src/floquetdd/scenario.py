@@ -40,6 +40,11 @@ class Numerics:
             raise ScenarioError("numerics.n_samples must be a power of two, at least 64")
         if self.sideband_cutoff < 1:
             raise ScenarioError("numerics.sideband_cutoff must be positive")
+        if self.sideband_cutoff > self.n_samples // 4:
+            raise ScenarioError(
+                "numerics.sideband_cutoff must not exceed n_samples / 4 "
+                f"({self.n_samples // 4} at {self.n_samples} samples)"
+            )
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ For weak, near-resonant driving the dressed-pair dipole Hamiltonian is a
 two-spin XYZ model in the bare atomic basis with five nonzero couplings
 (xx, yy, zz and the symmetric xz = zx cross term), all proportional to the
 dipole-dipole interaction energy and controlled by the dressed mixing
-angle.  This module provides the closed forms, an N-atom builder, and the
-explicit dressed-to-bare transformation used to cross-check them.
+angle.  This module provides the closed forms and an N-atom builder.
 """
 
 from __future__ import annotations
@@ -52,10 +51,10 @@ def j_tensor(theta_m: float, omega_dd_val: float) -> JTensor:
         J_zz = (W/8)  sin^2 t (3 cos 2t + 5)
         J_xz = (W/32) (2 sin 2t + 3 sin 4t)
 
-    The sign of J_xz follows this closed form; the dressed-to-bare
-    transformation path (:func:`dressed_bare_equivalence`) produces the
-    opposite sign for the cross term, a pure orientation convention that
-    leaves all spectra unchanged.
+    The sign of J_xz follows this closed form; rewriting the dressed-pair
+    Hamiltonian in bare Pauli products term by term produces the opposite
+    sign for the cross term, a pure orientation convention that leaves all
+    spectra unchanged.
     """
     if not (0.0 <= theta_m <= np.pi):
         raise ValueError("theta_m must lie in [0, pi]")
@@ -133,49 +132,3 @@ def build_spin_hamiltonian(
     if imag_leak > 1e-14 * max(float(np.max(np.abs(h.real))), 1.0):
         raise AssertionError("spin Hamiltonian acquired an imaginary part")
     return h.real
-
-
-def dressed_bare_equivalence(
-    coefficients: tuple[float, float], theta_m: float
-) -> tuple[JTensor, float]:
-    """Rewrite the dressed-pair Hamiltonian in bare Pauli products.
-
-    Takes (c_++, c_+-), expands
-
-        c_++ Z~ Z~ + (c_+-/2) (X~ X~ + Y~ Y~)
-
-    with the dressed operators Z~ = cos t Z + sin t X, X~ = -sin t Z +
-    cos t X, Y~ = Y, and projects onto the two-site Pauli basis.  Returns
-    the extracted tensor (transformation-path sign on the cross term) and
-    the norm of every component outside the five-component pattern, which
-    vanishes identically.
-    """
-    if not (0.0 <= theta_m <= np.pi):
-        raise ValueError("theta_m must lie in [0, pi]")
-    c_pp, c_pm = coefficients
-    ct, st = np.cos(theta_m), np.sin(theta_m)
-    z_d = ct * SIGMA_Z + st * SIGMA_X
-    x_d = -st * SIGMA_Z + ct * SIGMA_X
-    y_d = SIGMA_Y
-    h = c_pp * np.kron(z_d, z_d) + 0.5 * c_pm * (np.kron(x_d, x_d) + np.kron(y_d, y_d))
-
-    paulis = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
-    coeffs = np.zeros((4, 4), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            coeffs[a, b] = np.trace(np.kron(paulis[a], paulis[b]) @ h) / 4.0
-
-    x, y, z = 1, 2, 3
-    pattern = {(x, x), (y, y), (z, z), (x, z), (z, x)}
-    residual = 0.0
-    for a in range(4):
-        for b in range(4):
-            if (a, b) not in pattern:
-                residual += abs(coeffs[a, b]) ** 2
-    tensor = JTensor(
-        j_xx=float(coeffs[x, x].real),
-        j_yy=float(coeffs[y, y].real),
-        j_zz=float(coeffs[z, z].real),
-        j_xz=float(0.5 * (coeffs[x, z] + coeffs[z, x]).real),
-    )
-    return tensor, float(np.sqrt(residual))

@@ -1,0 +1,231 @@
+"""Independent reference implementations that the tests compare against.
+
+None of these is used by the package itself:
+
+* the generic secular channel path (per-(m, delta mu) jump blocks and the
+  eigendecomposition of their thermal rate matrices), the oracle of the
+  closed-form six-channel set in :func:`floquetdd.dipole.build_channels`
+* the explicit dressed-to-bare rewriting of the pair Hamiltonian, the
+  oracle of the closed-form XYZ tensor :func:`floquetdd.spin.j_tensor`
+* the truncated Sambe-Shirley Floquet Hamiltonian, an oracle of
+  :func:`floquetdd.floquet.floquet_solve` that shares none of its
+  propagation code
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
+from floquetdd.dipole import MatrixElementTable, _sigma_x_spectrum
+from floquetdd.floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, FloquetSolution
+from floquetdd.lindblad import LindbladModel, build_liouvillian
+from floquetdd.spin import JTensor
+
+
+def dissipator_matrix(channels) -> np.ndarray:
+    """Matrix of rho -> sum_k g_k (L rho L^+ - {L^+L, rho}/2), C-order vec."""
+    channels = tuple(channels)
+    d = channels[0][1].shape[0]
+    return build_liouvillian(LindbladModel(np.zeros((d, d)), channels))
+
+
+def quasienergy_difference_classes(
+    solutions: list, omega: float, tol_factor: float = 1e-9
+) -> np.ndarray:
+    """Distinct pairwise product-quasienergy differences, grouped within tolerance.
+
+    Product quasienergies are plain sums of the folded single-atom ones;
+    differences closer than ``tol_factor * omega`` fall into one class and
+    are represented by their mean.  Sorted ascending.
+    """
+    mus = _product_quasienergies(solutions)
+    diffs = np.sort((mus[None, :] - mus[:, None]).ravel())
+    tol = tol_factor * omega
+    classes = []
+    start = 0
+    for i in range(1, diffs.size + 1):
+        if i == diffs.size or diffs[i] - diffs[i - 1] > tol:
+            classes.append(diffs[start:i].mean())
+            start = i
+    return np.array(classes)
+
+
+def _product_quasienergies(solutions: list) -> np.ndarray:
+    singles = [(s.mu_plus, s.mu_minus) for s in solutions]
+    mus = []
+    for combo in itertools.product((0, 1), repeat=len(solutions)):
+        mus.append(sum(singles[i][b] for i, b in enumerate(combo)))
+    return np.array(mus)
+
+
+def build_D_operators(
+    solutions: list,
+    m: int,
+    delta_mu: float,
+    tol_factor: float = 1e-9,
+) -> list[np.ndarray]:
+    """Per-atom secular jump blocks D_m^i at quasienergy difference delta_mu.
+
+    For N atoms (N <= 6) in the product Floquet basis at t = 0:
+
+        D_m^i = sum_{mu_B - mu_A = delta_mu} <<phi_a|sigma_x_i|phi_b>>_m |A><B|
+
+    where only the atom-i branch differs between A and B.  Differences are
+    matched within ``tol_factor * omega``; an empty match yields the zero
+    operator.
+    """
+    n_atoms = len(solutions)
+    if n_atoms < 1 or n_atoms > 6:
+        raise ValueError("supported atom counts are 1..6")
+    omega = solutions[0].drive.omega
+    tol = tol_factor * omega
+    n = solutions[0].grid.n_samples
+    spectra = [_sigma_x_spectrum(s) for s in solutions]
+    singles = [(s.mu_plus, s.mu_minus) for s in solutions]
+
+    combos = list(itertools.product((0, 1), repeat=n_atoms))
+    index = {c: i for i, c in enumerate(combos)}
+    mus = _product_quasienergies(solutions)
+
+    dim = 2**n_atoms
+    ops = [np.zeros((dim, dim), dtype=complex) for _ in range(n_atoms)]
+    for i in range(n_atoms):
+        for bra in combos:  # A: target of the jump
+            for a_branch in (0, 1):
+                ket = bra[:i] + (a_branch,) + bra[i + 1 :]  # B: source
+                row, col = index[bra], index[ket]
+                if abs((mus[col] - mus[row]) - delta_mu) > tol:
+                    continue
+                ops[i][row, col] += spectra[i][bra[i], ket[i], m % n]
+    return ops
+
+
+def dissipator_blocks(
+    table: MatrixElementTable,
+    sol: FloquetSolution,
+    geometry: AtomGeometry,
+    bath: BathParams,
+) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Generic (rate-matrix, jump-operator) blocks of the two-atom dissipator.
+
+    One block per (m, delta_mu) combination with the 2x2 thermal rate matrix
+    [[G11, G12], [G12, G11]] at argument m w + delta_mu and the per-atom
+    secular operators from :func:`build_D_operators`.  Blocks whose operators
+    vanish are dropped.
+    """
+    omega = sol.drive.omega
+    classes = quasienergy_difference_classes([sol, sol], omega)
+    blocks = []
+    for delta_mu in classes:
+        for m in table.m_values:
+            ops = build_D_operators([sol, sol], int(m), float(delta_mu))
+            if all(np.allclose(op, 0.0, atol=0.0) for op in ops):
+                continue
+            arg = m * omega + delta_mu
+            g11 = gamma_thermal_single(arg, geometry, bath)
+            g12 = gamma_thermal_pair(arg, geometry, bath)
+            gamma_matrix = np.array([[g11, g12], [g12, g11]])
+            blocks.append((gamma_matrix, ops))
+    return blocks
+
+
+def diagonalize_dissipator(
+    blocks: list[tuple[np.ndarray, list[np.ndarray]]],
+) -> list[tuple[float, np.ndarray]]:
+    """Diagonal Lindblad channels from rate-matrix blocks.
+
+    Each Hermitian positive-semidefinite rate matrix is eigendecomposed and
+    its eigenvectors combine the jump operators; for the symmetric 2x2 case
+    this yields rates Gamma_11 +- Gamma_12 with (D_1 +- D_2)/sqrt(2).
+    Raises ``ValueError`` on a genuinely negative eigenvalue (the dissipator
+    would not generate a completely positive evolution); round-off negatives
+    are clamped to zero.
+    """
+    channels = []
+    for gamma_matrix, ops in blocks:
+        gm = np.asarray(gamma_matrix, dtype=complex)
+        scale = float(np.linalg.norm(gm))
+        if scale == 0.0:
+            continue
+        if np.max(np.abs(gm - gm.conj().T)) > 1e-12 * scale:
+            raise ValueError("rate matrix must be Hermitian")
+        values, vectors = np.linalg.eigh(gm)
+        if values.min() < -1e-10 * values.max():
+            raise ValueError(f"rate matrix has negative eigenvalue {values.min():.3e}")
+        for k in range(values.size):
+            rate = float(max(values[k], 0.0))
+            if rate == 0.0:
+                continue
+            jump = sum(vectors[i, k] * ops[i] for i in range(len(ops)))
+            channels.append((rate, jump))
+    return channels
+
+
+def dressed_bare_equivalence(
+    coefficients: tuple[float, float], theta_m: float
+) -> tuple[JTensor, float]:
+    """Rewrite the dressed-pair Hamiltonian in bare Pauli products.
+
+    Takes (c_++, c_+-), expands
+
+        c_++ Z~ Z~ + (c_+-/2) (X~ X~ + Y~ Y~)
+
+    with the dressed operators Z~ = cos t Z + sin t X, X~ = -sin t Z +
+    cos t X, Y~ = Y, and projects onto the two-site Pauli basis.  Returns
+    the extracted tensor (transformation-path sign on the cross term) and
+    the norm of every component outside the five-component pattern, which
+    vanishes identically.
+    """
+    if not (0.0 <= theta_m <= np.pi):
+        raise ValueError("theta_m must lie in [0, pi]")
+    c_pp, c_pm = coefficients
+    ct, st = np.cos(theta_m), np.sin(theta_m)
+    z_d = ct * SIGMA_Z + st * SIGMA_X
+    x_d = -st * SIGMA_Z + ct * SIGMA_X
+    y_d = SIGMA_Y
+    h = c_pp * np.kron(z_d, z_d) + 0.5 * c_pm * (np.kron(x_d, x_d) + np.kron(y_d, y_d))
+
+    paulis = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+    coeffs = np.zeros((4, 4), dtype=complex)
+    for a in range(4):
+        for b in range(4):
+            coeffs[a, b] = np.trace(np.kron(paulis[a], paulis[b]) @ h) / 4.0
+
+    x, y, z = 1, 2, 3
+    pattern = {(x, x), (y, y), (z, z), (x, z), (z, x)}
+    residual = 0.0
+    for a in range(4):
+        for b in range(4):
+            if (a, b) not in pattern:
+                residual += abs(coeffs[a, b]) ** 2
+    tensor = JTensor(
+        j_xx=float(coeffs[x, x].real),
+        j_yy=float(coeffs[y, y].real),
+        j_zz=float(coeffs[z, z].real),
+        j_xz=float(0.5 * (coeffs[x, z] + coeffs[z, x]).real),
+    )
+    return tensor, float(np.sqrt(residual))
+
+
+def sambe_floquet(drive: DriveParams, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Floquet Hamiltonian truncated to |n| <= n_blocks.
+
+    Shirley, Phys. Rev. 138, B979 (1965); Sambe, Phys. Rev. A 7, 2203
+    (1973).  In the basis |alpha, n> (alpha in {|e>, |g>}, Fourier index n
+    outermost) the diagonal blocks are (omega_eg/2) sigma_z + n omega and the
+    blocks (n, n +- 1) hold the Fourier components (rabi/2) sigma_x of the
+    cosine drive.  An eigenvalue eps with eigenvector blocks u_n is a
+    quasienergy with periodic mode phi(t) = sum_n u_n e^{i n w t}.  Returns
+    the ascending eigenvalues and the eigenvectors reshaped to
+    ``(2 n_blocks + 1, 2, n_eigen)``.
+    """
+    size = 2 * n_blocks + 1
+    diagonal = np.kron(np.diag(np.arange(-n_blocks, n_blocks + 1) * drive.omega), np.eye(2))
+    diagonal = diagonal + np.kron(np.eye(size), 0.5 * drive.omega_eg * SIGMA_Z)
+    shift = np.eye(size, k=1) + np.eye(size, k=-1)
+    h_floquet = diagonal + np.kron(shift, 0.5 * drive.rabi * SIGMA_X)
+    values, vectors = np.linalg.eigh(h_floquet)
+    return values, vectors.reshape(size, 2, -1)

@@ -9,15 +9,7 @@ import scipy.linalg
 from scipy import constants
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single, omega_dd
-from floquetdd.dipole import (
-    build_channels,
-    build_hdp2,
-    coupling_coefficients,
-    diagonalize_dissipator,
-    dissipator_blocks,
-    dissipator_superoperator,
-    matrix_elements,
-)
+from floquetdd.dipole import build_channels, build_hdp2, coupling_coefficients, matrix_elements
 from floquetdd.floquet import DriveParams, TimeGrid, dressed_states, floquet_solve, fold_to_zone
 from floquetdd.lindblad import (
     LindbladModel,
@@ -25,8 +17,14 @@ from floquetdd.lindblad import (
     coarse_grained_coefficients,
     evolve,
 )
-from floquetdd.spin import dressed_bare_equivalence, j_tensor
+from floquetdd.spin import j_tensor
 from floquetdd.validity import scan_tau_map, tau_mu
+from oracles import (
+    diagonalize_dissipator,
+    dissipator_blocks,
+    dissipator_matrix,
+    dressed_bare_equivalence,
+)
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 OMEGA = 1e10
@@ -146,8 +144,8 @@ def test_a7_channel_equivalence():
         bath = BathParams(temperature=0.05)
         sol, _ = solve(0.2 * OMEGA, 0.9 * OMEGA)
         table = matrix_elements(sol)
-        closed = dissipator_superoperator(list(build_channels(table, sol, RYDBERG, bath)))
-        generic = dissipator_superoperator(
+        closed = dissipator_matrix(build_channels(table, sol, RYDBERG, bath))
+        generic = dissipator_matrix(
             diagonalize_dissipator(dissipator_blocks(table, sol, RYDBERG, bath))
         )
         assert np.linalg.norm(closed - generic) <= 1e-10 * np.linalg.norm(closed)

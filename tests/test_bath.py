@@ -10,7 +10,6 @@ from scipy import constants
 from floquetdd.bath import (
     AtomGeometry,
     BathParams,
-    SpectralValue,
     _XI_SERIES_THRESHOLD,
     _xi_cos_minus_sin,
     gamma_pair,
@@ -18,8 +17,6 @@ from floquetdd.bath import (
     gamma_thermal_pair,
     gamma_thermal_single,
     omega_dd,
-    pair_spectral_value,
-    thermal_occupation,
 )
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
@@ -181,12 +178,6 @@ class TestThermalRates:
         assert gamma_thermal_single(1e-200, RYDBERG, bath) == 0.0
 
     def test_occupation(self):
-        bath = BathParams(temperature=1.0)
-        x = constants.hbar * 1e10 / constants.k
-        assert thermal_occupation(1e10, bath) == pytest.approx(1 / math.expm1(x))
-        assert thermal_occupation(1e10, VACUUM) == 0.0
-        with pytest.raises(ValueError):
-            thermal_occupation(0.0, bath)
         with pytest.raises(ValueError):
             BathParams(temperature=-1.0)
 
@@ -220,12 +211,3 @@ class TestGeometryPositions:
             [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0]], dipole_mag=1.0, dipole_axis=[0.0, 0.0, -2.0]
         )
         assert tilted.theta_d == pytest.approx(0.0)
-
-
-def test_spectral_value_bundle():
-    sv = pair_spectral_value(1e10, RYDBERG)
-    assert isinstance(sv, SpectralValue)
-    assert sv.gamma == gamma_pair(1e10, RYDBERG)
-    assert sv.omega_dd == omega_dd(1e10, RYDBERG)
-    with pytest.raises(ValueError):
-        SpectralValue(gamma=np.nan, omega_dd=0.0)

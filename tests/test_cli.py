@@ -92,6 +92,49 @@ class TestSpinmodelCommand:
         assert len(ham.rows) == 64
 
 
+def spin_task(n_atoms, coincide=False, axis=(0.0, 0.0, 1.0)):
+    positions = [[1e-5 * k, 0.0, 0.0] for k in range(n_atoms)]
+    if coincide:
+        positions[1] = positions[0]
+    return {"n_atoms": n_atoms, "positions": positions, "dipole_axis": list(axis)}
+
+
+def taumap_task(**overrides):
+    task = {
+        "rabi_over_omega_min": 0.0,
+        "rabi_over_omega_max": 0.5,
+        "n_rabi": 3,
+        "omega_eg_over_omega_min": 0.5,
+        "omega_eg_over_omega_max": 1.5,
+        "n_omega_eg": 3,
+    }
+    task.update(overrides)
+    return task
+
+
+# Out-of-range scenario values, each refused with exit 1 and the key named.
+OUT_OF_RANGE = [
+    *[
+        (sub, {"numerics": {"n_samples": 64, "sideband_cutoff": 17}, "task": task}, "numerics.sideband_cutoff")
+        for sub, task in (
+            ("floquet", {}),
+            ("coefficients", {}),
+            ("channels", {}),
+            ("reproduce-paper", {}),
+            ("evolve", {"model": "fme", "t_final": 1e-6, "initial_state": "pm"}),
+            ("steady", {"model": "fme"}),
+        )
+    ],
+    ("spinmodel", {"task": spin_task(7)}, "task.n_atoms"),
+    ("spinmodel", {"task": spin_task(1)}, "task.n_atoms"),
+    ("spinmodel", {"task": spin_task(3, coincide=True)}, "task.positions"),
+    ("spinmodel", {"task": spin_task(3, axis=[0.0, 0.0, 0.0])}, "task.dipole_axis"),
+    ("compare", {"task": {"horizon": 1e-5, "initial_state": "xx"}}, "task.initial_state"),
+    ("taumap", {"task": taumap_task(rabi_over_omega_min=-0.1)}, "task.rabi_over_omega_min"),
+    ("taumap", {"task": taumap_task(omega_eg_over_omega_min=0.0)}, "task.omega_eg_over_omega_min"),
+]
+
+
 class TestErrorPaths:
     def test_unknown_key_exit_one(self, tmp_path, capsys):
         scenario = write_scenario(
@@ -128,6 +171,14 @@ class TestErrorPaths:
         assert main(["not-a-command"]) == 1
         scenario = write_scenario(tmp_path)
         assert run("floquet", scenario, tmp_path / "out", "--seed", "7") == 1
+
+    @pytest.mark.parametrize(
+        "subcommand, overrides, key", OUT_OF_RANGE, ids=[f"{s}-{k}" for s, _, k in OUT_OF_RANGE]
+    )
+    def test_out_of_range_value_exit_one(self, tmp_path, capsys, subcommand, overrides, key):
+        scenario = write_scenario(tmp_path, **overrides)
+        assert run(subcommand, scenario, tmp_path / "out") == 1
+        assert key in capsys.readouterr().err
 
     def test_compare_refusal_exit_two(self, tmp_path):
         scenario = write_scenario(

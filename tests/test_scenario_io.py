@@ -125,6 +125,11 @@ class TestScenarioParsing:
         data["numerics"] = {"n_samples": 100}
         with pytest.raises(ScenarioError):
             parse_scenario_dict(data)
+        data["numerics"] = {"n_samples": 64, "sideband_cutoff": 16}
+        assert parse_scenario_dict(data).numerics.sideband_cutoff == 16
+        data["numerics"] = {"n_samples": 64, "sideband_cutoff": 17}
+        with pytest.raises(ScenarioError, match="sideband_cutoff"):
+            parse_scenario_dict(data)
 
     def test_task_params_validation(self):
         data = base_scenario()

@@ -8,13 +8,8 @@ from floquetdd.bath import AtomGeometry, omega_dd
 from floquetdd.dipole import CouplingCoefficients, build_hdp2
 from floquetdd.floquet import DriveParams, dressed_states
 from floquetdd.lindblad import coarse_grained_coefficients
-from floquetdd.spin import (
-    JTensor,
-    build_spin_hamiltonian,
-    dressed_bare_equivalence,
-    j_tensor,
-    pair_geometries_from_positions,
-)
+from floquetdd.spin import JTensor, build_spin_hamiltonian, j_tensor, pair_geometries_from_positions
+from oracles import dressed_bare_equivalence
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 W = 2.0  # generic interaction energy scale for closed-form checks
