@@ -114,100 +114,120 @@ class BathParams:
             raise ValueError("temperature must be non-negative and finite")
 
 
-def _xi_cos_minus_sin(xi: float) -> float:
-    """xi*cos(xi) - sin(xi), stable at small xi (~ -xi^3/3)."""
-    if xi < _XI_SERIES_THRESHOLD:
-        x2 = xi * xi
-        return -(xi * x2) * (1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0 - x2 * x2 * x2 / 45360.0)
-    return xi * math.cos(xi) - math.sin(xi)
+def _xi_cos_minus_sin(xi: np.ndarray) -> np.ndarray:
+    """xi*cos(xi) - sin(xi), stable at small xi (~ -xi^3/3); broadcasts."""
+    small = xi < _XI_SERIES_THRESHOLD
+    xs = np.where(small, xi, 0.0)  # keeps x2**3 from overflowing at large xi
+    x2 = xs * xs
+    series = -(xs * x2) * (1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0 - x2 * x2 * x2 / 45360.0)
+    return np.where(small, series, xi * np.cos(xi) - np.sin(xi))
 
 
-def gamma_single(omega: float, geometry: AtomGeometry) -> float:
+def _frequencies(omega: float | np.ndarray, name: str) -> np.ndarray:
+    """Finite frequency argument(s) as a float array (0-d for a scalar)."""
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError(f"{name} must be finite")
+    return omega
+
+
+def _as_output(value, like):
+    """A float for a scalar argument, the array otherwise."""
+    return float(value) if np.ndim(like) == 0 else value
+
+
+def gamma_single(omega: float | np.ndarray, geometry: AtomGeometry) -> float | np.ndarray:
     """Single-atom spontaneous decay rate mu^2 |omega|^3 / (3 pi eps0 hbar c^3).
 
     Even extension in omega; the thermal wrapper handles emission versus
-    absorption signs.
+    absorption signs.  Broadcasts over an array of frequencies; a scalar
+    frequency gives a float.
     """
-    if not np.isfinite(omega):
-        raise ValueError("omega must be finite")
-    w = abs(omega)
+    w = np.abs(_frequencies(omega, "omega"))
     mu2 = geometry.dipole_mag**2
-    return mu2 * w**3 / (3.0 * np.pi * EPS0 * HBAR * C_LIGHT**3)
+    # float_power is the libm pow of the scalar w**3; w * w * w rounds twice
+    rate = mu2 * np.float_power(w, 3) / (3.0 * np.pi * EPS0 * HBAR * C_LIGHT**3)
+    return _as_output(rate, omega)
 
 
-def gamma_pair(omega: float, geometry: AtomGeometry) -> float:
+def gamma_pair(omega: float | np.ndarray, geometry: AtomGeometry) -> float | np.ndarray:
     """Collective two-atom decay rate at |omega| for the stored geometry.
 
     Reduces to :func:`gamma_single` as xi -> 0 and oscillates with the
-    retardation phase xi = |omega| r / c at large separations.
+    retardation phase xi = |omega| r / c at large separations.  Broadcasts
+    like :func:`gamma_single`.
     """
-    if not np.isfinite(omega):
-        raise ValueError("omega must be finite")
     r = geometry.separation
-    xi = abs(omega) * r / C_LIGHT
+    xi = np.abs(_frequencies(omega, "omega")) * r / C_LIGHT
     cos_t2 = math.cos(geometry.theta_d) ** 2
-    bracket = (1.0 - cos_t2) * xi * xi * math.sin(xi) + (1.0 - 3.0 * cos_t2) * _xi_cos_minus_sin(xi)
+    bracket = (1.0 - cos_t2) * xi * xi * np.sin(xi) + (1.0 - 3.0 * cos_t2) * _xi_cos_minus_sin(xi)
     mu2 = geometry.dipole_mag**2
-    return mu2 / (2.0 * np.pi * EPS0 * HBAR * r**3) * bracket
+    return _as_output(mu2 / (2.0 * np.pi * EPS0 * HBAR * r**3) * bracket, omega)
 
 
-def omega_dd(omega: float, geometry: AtomGeometry) -> float:
+def omega_dd(omega: float | np.ndarray, geometry: AtomGeometry) -> float | np.ndarray:
     """Dipole-dipole interaction energy (rad/s), even in omega.
 
     Contains the far-field 1/r, intermediate 1/r^2 and near-field 1/r^3
     contributions; omega = 0 gives the static interaction
-    mu^2 (1 - 3 cos^2 theta) / (4 pi eps0 hbar r^3).
+    mu^2 (1 - 3 cos^2 theta) / (4 pi eps0 hbar r^3).  Broadcasts like
+    :func:`gamma_single`.
     """
-    if not np.isfinite(omega):
-        raise ValueError("omega must be finite")
     r = geometry.separation
-    xi = abs(omega) * r / C_LIGHT
+    xi = np.abs(_frequencies(omega, "omega")) * r / C_LIGHT
     cos_t2 = math.cos(geometry.theta_d) ** 2
-    bracket = -(1.0 - cos_t2) * xi * xi * math.cos(xi) + (1.0 - 3.0 * cos_t2) * (
-        xi * math.sin(xi) + math.cos(xi)
+    bracket = -(1.0 - cos_t2) * xi * xi * np.cos(xi) + (1.0 - 3.0 * cos_t2) * (
+        xi * np.sin(xi) + np.cos(xi)
     )
     mu2 = geometry.dipole_mag**2
-    return mu2 / (4.0 * np.pi * EPS0 * HBAR * r**3) * bracket
+    return _as_output(mu2 / (4.0 * np.pi * EPS0 * HBAR * r**3) * bracket, omega)
 
 
-def _thermal_weighted(rate_abs: float, nu: float, bath: BathParams) -> float:
-    """Apply emission/absorption thermal weights to a rate at |nu|.
+def _thermal_weighted(rate_abs, nu: np.ndarray, bath: BathParams) -> np.ndarray:
+    """Apply emission/absorption thermal weights to rates at |nu| (arrays).
 
-    Theta(0) := 0 so the rate vanishes at nu = 0 for any temperature,
-    consistent with the nu^3 prefactor limit.
+    Theta(0) := 0: at nu = 0 only the occupation part remains, and it is 0,
+    so the rate vanishes for any temperature, consistent with the nu^3
+    prefactor limit.
     """
-    if nu == 0.0:
-        return 0.0
     if bath.temperature == 0.0:
-        return rate_abs if nu > 0.0 else 0.0
-    x = HBAR * abs(nu) / (K_BOLTZMANN * bath.temperature)
-    if x > 700.0:  # expm1 overflows just above 709; occupation ~ 1e-305 there
-        occ_part = 0.0
-    elif x < 1e-12:
-        # rate ~ nu^3 while n ~ 1/x: form rate/x first so the product goes to
-        # zero by continuity instead of hitting inf * 0.
-        occ_part = (rate_abs / x) * (1.0 - 0.5 * x + x * x / 12.0)
-    else:
-        occ_part = rate_abs / math.expm1(x)
-    if nu > 0.0:
-        return rate_abs + occ_part
-    return occ_part
+        return np.where(nu > 0.0, rate_abs, 0.0)
+    x = HBAR * np.abs(nu) / (K_BOLTZMANN * bath.temperature)
+    # Above x = 700 the occupation is ~ 1e-305 (expm1 overflows just above
+    # 709) and counts as 0.
+    direct = (x >= 1e-12) & (x <= 700.0)
+    # rate ~ nu^3 while n ~ 1/x: below x = 1e-12 form rate/x first so the
+    # product goes to zero by continuity instead of hitting inf * 0.  An x
+    # that underflowed to zero takes that limit, 0, directly.
+    small = (x > 0.0) & (x < 1e-12)
+    # math.expm1 per element: np.expm1 differs from it in the last bit
+    expm1 = np.asarray(np.frompyfunc(math.expm1, 1, 1)(np.where(direct, x, 1.0)), dtype=float)
+    xs = np.where(small, x, 1.0)
+    occ_part = np.where(
+        direct,
+        rate_abs / expm1,
+        np.where(small, (rate_abs / xs) * (1.0 - 0.5 * xs + xs * xs / 12.0), 0.0),
+    )
+    return np.where(nu > 0.0, rate_abs + occ_part, occ_part)
 
 
-def gamma_thermal_single(nu: float, geometry: AtomGeometry, bath: BathParams) -> float:
+def gamma_thermal_single(
+    nu: float | np.ndarray, geometry: AtomGeometry, bath: BathParams
+) -> float | np.ndarray:
     """Thermal single-atom rate Gamma_11(nu).
 
     Equal to the vacuum rate for nu > 0 at zero temperature and zero for
     nu <= 0; at finite temperature the absorption branch (nu < 0) carries
-    the occupation factor so detailed balance holds.
+    the occupation factor so detailed balance holds.  Broadcasts over an
+    array of frequencies; a scalar frequency gives a float.
     """
-    if not np.isfinite(nu):
-        raise ValueError("nu must be finite")
-    return _thermal_weighted(gamma_single(nu, geometry), nu, bath)
+    freqs = _frequencies(nu, "nu")
+    return _as_output(_thermal_weighted(gamma_single(freqs, geometry), freqs, bath), nu)
 
 
-def gamma_thermal_pair(nu: float, geometry: AtomGeometry, bath: BathParams) -> float:
+def gamma_thermal_pair(
+    nu: float | np.ndarray, geometry: AtomGeometry, bath: BathParams
+) -> float | np.ndarray:
     """Thermal collective rate Gamma_12(nu); same weights as the single-atom one."""
-    if not np.isfinite(nu):
-        raise ValueError("nu must be finite")
-    return _thermal_weighted(gamma_pair(nu, geometry), nu, bath)
+    freqs = _frequencies(nu, "nu")
+    return _as_output(_thermal_weighted(gamma_pair(freqs, geometry), freqs, bath), nu)

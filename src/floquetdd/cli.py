@@ -31,7 +31,7 @@ from .lindblad import (
     obe_reference,
     steady_state,
 )
-from .scenario import Scenario, load_scenario, task_params
+from .scenario import Scenario, integer, load_scenario, task_params
 from .spin import build_spin_hamiltonian, j_tensor, pair_geometries_from_positions
 from .validity import scan_tau_map, timescale_report
 
@@ -159,7 +159,7 @@ def _run_evolve(scenario: Scenario, outdir, threads: int) -> None:
         {
             "model": (True, str),
             "t_final": (True, float),
-            "n_times": (False, int),
+            "n_times": (False, integer),
             "initial_state": (True, str),
         },
         "evolve",
@@ -228,7 +228,7 @@ def _run_spinmodel(scenario: Scenario, outdir, threads: int) -> None:
     params = task_params(
         scenario,
         {
-            "n_atoms": (False, int),
+            "n_atoms": (False, integer),
             "positions": (False, list),
             "dipole_axis": (False, list),
             "evaluate_at": (False, str),
@@ -300,10 +300,10 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
         {
             "rabi_over_omega_min": (True, float),
             "rabi_over_omega_max": (True, float),
-            "n_rabi": (True, int),
+            "n_rabi": (True, integer),
             "omega_eg_over_omega_min": (True, float),
             "omega_eg_over_omega_max": (True, float),
-            "n_omega_eg": (True, int),
+            "n_omega_eg": (True, integer),
         },
         "taumap",
     )

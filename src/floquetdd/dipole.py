@@ -81,7 +81,8 @@ class ChannelSet:
     Operators are 4x4 matrices in the ordering {|++>, |+->, |-+>, |-->};
     all six jump operators are unit-normalized symmetric/antisymmetric
     one-atom combinations so the channel rates are the physical collective
-    (superradiant/subradiant) rates.
+    (superradiant/subradiant) rates.  ``operators`` is one read-only array
+    shared by every channel set.
     """
 
     rates: np.ndarray
@@ -141,8 +142,8 @@ def coupling_coefficients(
     delta = sol.mu_plus - sol.mu_minus
     w_pp = np.abs(table.entries[PLUS, PLUS, :]) ** 2
     w_mp = np.abs(table.entries[MINUS, PLUS, :]) ** 2
-    om_pp = np.array([omega_dd(m * omega, geometry) for m in ms])
-    om_pm = np.array([omega_dd(delta + m * omega, geometry) for m in ms])
+    om_pp = omega_dd(ms * omega, geometry)
+    om_pm = omega_dd(delta + ms * omega, geometry)
     breakdown_pp = w_pp * om_pp
     breakdown_pm = w_mp * om_pm
 
@@ -184,12 +185,37 @@ def build_hdp2(coeff: CouplingCoefficients) -> np.ndarray:
     return h
 
 
-def _one_atom_ops():
-    proj_p = np.diag([1.0, 0.0]).astype(complex)
-    proj_m = np.diag([0.0, 1.0]).astype(complex)
+def _jump_operators() -> np.ndarray:
+    """The six unit-normalized symmetric/antisymmetric one-atom combinations."""
+    eye = np.eye(2, dtype=complex)
+    sz = np.diag([1.0, -1.0]).astype(complex)
     lower = np.zeros((2, 2), dtype=complex)
     lower[1, 0] = 1.0  # |-><+|
-    return proj_p - proj_m, lower
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    ops = []
+    for op in (sz, lower, lower.conj().T):
+        ops.append(inv_sqrt2 * (np.kron(op, eye) + np.kron(eye, op)))
+        ops.append(inv_sqrt2 * (np.kron(op, eye) - np.kron(eye, op)))
+    out = np.stack(ops)
+    out.flags.writeable = False
+    return out
+
+
+_JUMP_OPERATORS = _jump_operators()
+_CHANNEL_LABELS = (
+    "population symmetric",
+    "population antisymmetric",
+    "lowering symmetric",
+    "lowering antisymmetric",
+    "raising symmetric",
+    "raising antisymmetric",
+)
+
+
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    """Left-to-right sums from 0.0 along the last axis (not numpy's pairwise sum)."""
+    padded = np.concatenate([np.zeros(terms.shape[:-1] + (1,)), terms], axis=-1)
+    return np.cumsum(padded, axis=-1)[..., -1]
 
 
 def build_channels(
@@ -209,62 +235,21 @@ def build_channels(
     """
     ms = table.m_values
     delta = sol.mu_plus - sol.mu_minus
-    omega = sol.drive.omega
+    # rows: population (pp), downward (mp) and upward (pm) transitions
+    weights = np.abs(table.entries[[PLUS, MINUS, PLUS], [PLUS, PLUS, MINUS], :]) ** 2
+    args = ms * sol.drive.omega + np.array([[0.0], [delta], [-delta]])
+    g11 = gamma_thermal_single(args, geometry, bath)
+    g12 = gamma_thermal_pair(args, geometry, bath)
+    outer = np.abs(ms) >= table.truncation - 1
+    tot_sum = _sequential_sum(weights * (g11 + g12))
+    tot_dif = _sequential_sum(weights * (g11 - g12))
+    ring = _sequential_sum((weights * (np.abs(g11) + np.abs(g12)))[:, outer])
 
-    w_pp = np.abs(table.entries[PLUS, PLUS, :]) ** 2
-    w_mp = np.abs(table.entries[MINUS, PLUS, :]) ** 2
-    w_pm = np.abs(table.entries[PLUS, MINUS, :]) ** 2
-
-    def g11(x):
-        return gamma_thermal_single(x, geometry, bath)
-
-    def g12(x):
-        return gamma_thermal_pair(x, geometry, bath)
-
-    def rate_pair(weights, shift):
-        tot_sum = 0.0
-        tot_dif = 0.0
-        ring = 0.0
-        for w, m in zip(weights, ms):
-            arg = m * omega + shift
-            a, b = g11(arg), g12(arg)
-            tot_sum += w * (a + b)
-            tot_dif += w * (a - b)
-            if abs(m) >= table.truncation - 1:
-                ring += w * (abs(a) + abs(b))
-        return tot_sum, tot_dif, ring
-
-    g1, g2, ring1 = rate_pair(w_pp, 0.0)
-    g3, g4, ring3 = rate_pair(w_mp, delta)
-    g5, g6, ring5 = rate_pair(w_pm, -delta)
-    scale = max(g1, g3, g5)
-    if scale > 0.0 and max(ring1, ring3, ring5) > _CONVERGED_RING_TOL * scale:
+    scale = max(tot_sum)
+    if scale > 0.0 and max(ring) > _CONVERGED_RING_TOL * scale:
         raise SidebandTruncationError(
             "decay-rate sideband sums not converged at cutoff "
             f"{table.truncation}; enlarge the matrix-element table"
         )
-
-    sz, lower = _one_atom_ops()
-    eye = np.eye(2, dtype=complex)
-    raiser = lower.conj().T
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-
-    def sym(op):
-        return inv_sqrt2 * (np.kron(op, eye) + np.kron(eye, op))
-
-    def asym(op):
-        return inv_sqrt2 * (np.kron(op, eye) - np.kron(eye, op))
-
-    operators = np.stack(
-        [sym(sz), asym(sz), sym(lower), asym(lower), sym(raiser), asym(raiser)]
-    )
-    rates = np.array([g1, g2, g3, g4, g5, g6])
-    labels = (
-        "population symmetric",
-        "population antisymmetric",
-        "lowering symmetric",
-        "lowering antisymmetric",
-        "raising symmetric",
-        "raising antisymmetric",
-    )
-    return ChannelSet(rates=rates, operators=operators, labels=labels)
+    rates = np.stack([tot_sum, tot_dif], axis=1).reshape(-1)
+    return ChannelSet(rates=rates, operators=_JUMP_OPERATORS, labels=_CHANNEL_LABELS)

@@ -106,17 +106,23 @@ def validate_density_matrix(
     return rho
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices: the same products, without its generic set-up."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 def build_liouvillian(model: LindbladModel) -> np.ndarray:
     """Superoperator matrix acting on C-order vectorized density matrices."""
     ident = np.eye(model.dimension, dtype=complex)
     h = model.hamiltonian
-    out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    out = -1j * (_kron(h, ident) - _kron(ident, h.T))
     for rate, op in model.channels:
         ldl = op.conj().T @ op
         out += rate * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(ldl, ident)
-            - 0.5 * np.kron(ident, ldl.T)
+            _kron(op, op.conj())
+            - 0.5 * _kron(ldl, ident)
+            - 0.5 * _kron(ident, ldl.T)
         )
     return out
 

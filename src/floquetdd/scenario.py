@@ -76,6 +76,15 @@ def _require_number(block: dict, key: str, context: str) -> float:
     return float(value)
 
 
+def integer(value) -> int:
+    """The int of an integral JSON number; a fraction, bool or string is refused."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_drive(block) -> DriveParams:
     if not isinstance(block, dict):
         raise ScenarioError("drive block must be an object")
@@ -156,10 +165,13 @@ def _parse_numerics(block) -> Numerics:
         raise ScenarioError("numerics block must be an object")
     _reject_unknown(block, _NUMERICS_KEYS, "numerics")
     kwargs = {}
-    if "n_samples" in block:
-        kwargs["n_samples"] = int(_require_number(block, "n_samples", "numerics"))
-    if "sideband_cutoff" in block:
-        kwargs["sideband_cutoff"] = int(_require_number(block, "sideband_cutoff", "numerics"))
+    for key in ("n_samples", "sideband_cutoff"):
+        if key in block:
+            _require_number(block, key, "numerics")
+            try:
+                kwargs[key] = integer(block[key])
+            except ValueError as err:
+                raise ScenarioError(f"invalid numerics.{key}: {err}") from err
     return Numerics(**kwargs)
 
 
@@ -204,7 +216,7 @@ def task_params(scenario: Scenario, allowed: dict, context: str) -> dict:
             try:
                 out[key] = caster(block[key])
             except (TypeError, ValueError) as err:
-                raise ScenarioError(f"invalid task key '{key}': {err}") from err
+                raise ScenarioError(f"invalid task.{key}: {err}") from err
         elif required:
             raise ScenarioError(f"missing task key '{key}' for {context}")
     return out

@@ -176,6 +176,45 @@ class TestThermalRates:
         assert 0.0 < b < a < 1e-20
         assert a / b == pytest.approx(100.0, rel=1e-6)
         assert gamma_thermal_single(1e-200, RYDBERG, bath) == 0.0
+        # hbar |nu| / kT underflows to zero here: the limit, not 0 / 0
+        for nu in (1e-300, -1e-300):
+            assert gamma_thermal_single(nu, RYDBERG, BathParams(temperature=1.0)) == 0.0
+            assert gamma_thermal_pair(nu, RYDBERG, BathParams(temperature=1.0)) == 0.0
+
+    @given(
+        xis=st.lists(st.floats(0.0, 40.0), max_size=12),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=12, max_size=12),
+        temperature=st.sampled_from([0.0, 0.05, 300.0]),
+    )
+    @settings(max_examples=60)
+    def test_array_call_equals_scalar_calls(self, xis, signs, temperature):
+        # nu = 0 and xi on both sides of the small-xi series threshold are
+        # always present; the rest is drawn.
+        thr = _XI_SERIES_THRESHOLD
+        xi = np.array([0.0, 0.5 * thr, 2.0 * thr, 1.0, *xis])
+        sign = np.array([1.0, -1.0, -1.0, 1.0, *signs[: len(xis)]])
+        geom = geometry_at(1.0, omega=1e10, theta=0.7)
+        nus = sign * xi * 1e10
+        bath = BathParams(temperature=temperature)
+        for fn, extra in (
+            (gamma_single, ()),
+            (gamma_pair, ()),
+            (omega_dd, ()),
+            (gamma_thermal_single, (bath,)),
+            (gamma_thermal_pair, (bath,)),
+        ):
+            scalars = [fn(float(nu), geom, *extra) for nu in nus]
+            assert all(type(v) is float for v in scalars)
+            np.testing.assert_array_max_ulp(fn(nus, geom, *extra), np.array(scalars), maxulp=0)
+        # and both equal the libm forms the rates are defined with: pow for
+        # |nu|^3 and expm1 for the occupation
+        denominator = 3.0 * np.pi * constants.epsilon_0 * constants.hbar * constants.c**3
+        for nu in nus:
+            single = geom.dipole_mag**2 * abs(float(nu)) ** 3 / denominator
+            assert gamma_single(float(nu), geom) == single
+            x = constants.hbar * abs(float(nu)) / (constants.k * max(temperature, 1e-300))
+            if nu < 0.0 and temperature > 0.0 and 1e-12 <= x <= 700.0:
+                assert gamma_thermal_single(float(nu), geom, bath) == single / math.expm1(x)
 
     def test_occupation(self):
         with pytest.raises(ValueError):

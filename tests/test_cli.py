@@ -132,6 +132,17 @@ OUT_OF_RANGE = [
     ("compare", {"task": {"horizon": 1e-5, "initial_state": "xx"}}, "task.initial_state"),
     ("taumap", {"task": taumap_task(rabi_over_omega_min=-0.1)}, "task.rabi_over_omega_min"),
     ("taumap", {"task": taumap_task(omega_eg_over_omega_min=0.0)}, "task.omega_eg_over_omega_min"),
+    # fractional values of integer keys are refused, not truncated
+    ("taumap", {"task": taumap_task(n_rabi=3.9)}, "task.n_rabi"),
+    ("taumap", {"task": taumap_task(n_omega_eg=2.5)}, "task.n_omega_eg"),
+    ("spinmodel", {"task": {"n_atoms": 2.5}}, "task.n_atoms"),
+    (
+        "evolve",
+        {"task": {"model": "fme", "t_final": 1e-6, "initial_state": "pm", "n_times": 10.5}},
+        "task.n_times",
+    ),
+    ("floquet", {"numerics": {"n_samples": 256.7}}, "numerics.n_samples"),
+    ("taumap", {"numerics": {"sideband_cutoff": 4.5}, "task": taumap_task()}, "numerics.sideband_cutoff"),
 ]
 
 

@@ -123,6 +123,9 @@ class TestCouplingCoefficients:
         tight = matrix_elements(sol, truncation=3)
         with pytest.raises(SidebandTruncationError):
             coupling_coefficients(tight, sol, RYDBERG)
+        for temperature in (0.0, 1.0):
+            with pytest.raises(SidebandTruncationError):
+                build_channels(tight, sol, RYDBERG, BathParams(temperature=temperature))
 
 
 class TestBuildHdp2:
@@ -202,6 +205,25 @@ class TestBuildChannels:
             for w, m in zip(weights, table.m_values)
         )
         assert channels.rates[2] + channels.rates[3] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_rates_equal_sequential_scalar_sums(self, driven_detuned, temperature):
+        # Oracle: one scalar rate call per sideband, summed left to right
+        # from 0.0 in m order; the rates must agree to the last bit.
+        sol, table = driven_detuned
+        bath = BathParams(temperature=temperature)
+        delta = sol.mu_plus - sol.mu_minus
+        expected = []
+        for (a, b), shift in (((0, 0), 0.0), ((1, 0), delta), ((0, 1), -delta)):
+            tot_sum = tot_dif = 0.0
+            for w, m in zip(np.abs(table.entries[a, b, :]) ** 2, table.m_values):
+                g11 = gamma_thermal_single(m * OMEGA + shift, RYDBERG, bath)
+                g12 = gamma_thermal_pair(m * OMEGA + shift, RYDBERG, bath)
+                tot_sum += w * (g11 + g12)
+                tot_dif += w * (g11 - g12)
+            expected += [tot_sum, tot_dif]
+        channels = build_channels(table, sol, RYDBERG, bath)
+        np.testing.assert_array_equal(channels.rates, expected)
 
     def test_nonnegative_rates_in_vacuum(self, driven_detuned):
         sol, table = driven_detuned

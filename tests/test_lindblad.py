@@ -83,6 +83,28 @@ class TestLiouvillian:
         identity_vec = np.eye(2, dtype=complex).reshape(-1)
         assert np.linalg.norm(identity_vec.conj() @ liou) < 1e-12 * np.linalg.norm(liou)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_equals_kron_assembly(self, d):
+        # Oracle: the same formula assembled with np.kron, term for term in
+        # the same order; the superoperator must agree to the last bit.
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = 0.5 * (a + a.conj().T)
+            channels = tuple(
+                (rng.uniform(0.0, 3.0), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                for _ in range(rng.integers(1, 7))
+            )
+            ident = np.eye(d, dtype=complex)
+            expected = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+            for rate, op in channels:
+                ldl = op.conj().T @ op
+                expected += rate * (
+                    np.kron(op, op.conj()) - 0.5 * np.kron(ldl, ident) - 0.5 * np.kron(ident, ldl.T)
+                )
+            liou = build_liouvillian(LindbladModel(hamiltonian=h, channels=channels))
+            np.testing.assert_array_equal(liou, expected)
+
     def test_evolve_matches_ode_oracle_on_random_model(self):
         # Oracle: the matrix-form master equation integrated by an adaptive
         # Runge-Kutta solver, independent of the superoperator layout.  The
