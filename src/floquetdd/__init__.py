@@ -46,7 +46,6 @@ from .lindblad import (
     coarse_grained_coefficients,
     evolve,
     fme_vs_obe_compare,
-    max_population_deviation,
     obe_reference,
     smoothed_populations,
     steady_state,

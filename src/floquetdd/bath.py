@@ -28,12 +28,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
-HBAR = constants.hbar
-EPS0 = constants.epsilon_0
-C_LIGHT = constants.c
-K_BOLTZMANN = constants.k
+# CODATA 2022, the same doubles as scipy.constants 1.17, written out so that
+# importing the package loads no scipy (scipy.constants costs about 0.28 s).
+# The SI fixes hbar, c, k and e exactly; epsilon_0 and a0 are measured.
+HBAR = 1.0545718176461565e-34  # J s, h / (2 pi) with h exact
+EPS0 = 8.8541878188e-12  # F/m
+C_LIGHT = 299792458.0  # m/s
+K_BOLTZMANN = 1.380649e-23  # J/K
+E_CHARGE = 1.602176634e-19  # C
+BOHR_RADIUS = 5.29177210544e-11  # m
+E_A0 = E_CHARGE * BOHR_RADIUS  # atomic unit of dipole moment, C m
 
 # Below this xi the direct evaluation of xi*cos(xi) - sin(xi) has lost more
 # than half its digits to cancellation; the four-term Taylor series is
@@ -50,14 +55,11 @@ class AtomGeometry:
         dipole_mag: transition dipole moment magnitude (C m, > 0)
         theta_d: angle between the dipole moments and the interatomic
             axis (rad, in [0, pi])
-        positions: optional (n, 3) array of atom positions (m); when given
-            for two atoms it must reproduce ``separation`` to 1e-12 relative
     """
 
     separation: float
     dipole_mag: float
     theta_d: float
-    positions: tuple | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.separation) and self.separation > 0.0):
@@ -66,16 +68,6 @@ class AtomGeometry:
             raise ValueError("dipole_mag must be positive and finite")
         if not (0.0 <= self.theta_d <= np.pi):
             raise ValueError("theta_d must lie in [0, pi]")
-        if self.positions is not None:
-            pos = np.asarray(self.positions, dtype=float)
-            if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 2:
-                raise ValueError("positions must be an (n, 3) array with n >= 2")
-            if pos.shape[0] == 2:
-                r = float(np.linalg.norm(pos[1] - pos[0]))
-                if abs(r - self.separation) > 1e-12 * self.separation:
-                    raise ValueError(
-                        "positions inconsistent with stored separation"
-                    )
 
     @classmethod
     def from_positions(
@@ -95,12 +87,7 @@ class AtomGeometry:
             raise ValueError("atoms must not coincide")
         cos_t = abs(float(np.dot(axis / norm, rvec / r)))
         theta = float(np.arccos(np.clip(cos_t, -1.0, 1.0)))
-        return cls(
-            separation=r,
-            dipole_mag=dipole_mag,
-            theta_d=theta,
-            positions=tuple(map(tuple, pos)),
-        )
+        return cls(separation=r, dipole_mag=dipole_mag, theta_d=theta)
 
 
 @dataclass(frozen=True)

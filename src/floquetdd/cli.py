@@ -24,6 +24,7 @@ from .errors import PhysicsError, ScenarioError
 from .floquet import TimeGrid, dressed_states, floquet_solve
 from .io import ResultBundle, Table, emit_csv, emit_json, matrix_to_json
 from .lindblad import (
+    DRESSED_PAIR_LABELS,
     coarse_grained_coefficients,
     evolve,
     fme_model,
@@ -31,7 +32,7 @@ from .lindblad import (
     obe_reference,
     steady_state,
 )
-from .scenario import Scenario, integer, load_scenario, task_params
+from .scenario import Scenario, integer, load_scenario, number, task_params
 from .spin import build_spin_hamiltonian, j_tensor, pair_geometries_from_positions
 from .validity import scan_tau_map, timescale_report
 
@@ -46,11 +47,9 @@ def _solve(scenario: Scenario):
     return floquet_solve(scenario.drive, grid, scenario.numerics.sideband_cutoff)
 
 
-def _pipeline(scenario: Scenario):
+def _coefficients(scenario: Scenario):
     sol = _solve(scenario)
-    table = matrix_elements(sol)
-    coeff = coupling_coefficients(table, sol, scenario.geometry)
-    return sol, table, coeff
+    return coupling_coefficients(matrix_elements(sol), sol, scenario.geometry)
 
 
 def _bundle(scenario: Scenario, task: str, outputs: dict) -> ResultBundle:
@@ -95,7 +94,7 @@ def _run_floquet(scenario: Scenario, outdir, threads: int) -> None:
 
 
 def _run_coefficients(scenario: Scenario, outdir, threads: int) -> None:
-    _, _, coeff = _pipeline(scenario)
+    coeff = _coefficients(scenario)
     rows = tuple(
         (int(m), float(coeff.breakdown_pp[i]), float(coeff.breakdown_pm[i]))
         for i, m in enumerate(coeff.m_values)
@@ -116,8 +115,8 @@ def _run_coefficients(scenario: Scenario, outdir, threads: int) -> None:
 
 
 def _run_channels(scenario: Scenario, outdir, threads: int) -> None:
-    sol, table, _ = _pipeline(scenario)
-    channels = build_channels(table, sol, scenario.geometry, scenario.bath)
+    sol = _solve(scenario)
+    channels = build_channels(matrix_elements(sol), sol, scenario.geometry, scenario.bath)
     emit_csv(
         Table(
             columns=("channel", "label", "rate_rad_per_s"),
@@ -137,19 +136,34 @@ def _run_channels(scenario: Scenario, outdir, threads: int) -> None:
     print("channel rates:", " ".join(f"{r:.6e}" for r in channels.rates))
 
 
-_FME_STATES = {"pp": 0, "pm": 1, "mp": 2, "mm": 3}
-_OBE_STATES = {"ee": 0, "eg": 1, "ge": 2, "gg": 3}
-_COMPARE_STATES = ("++", "+-", "-+", "--")
+# Column labels of each model's basis states, in matrix order: the FME
+# product Floquet basis (DRESSED_PAIR_LABELS) and the bare OBE basis.
+_BASES = {"fme": ("pp", "pm", "mp", "mm"), "obe": ("ee", "eg", "ge", "gg")}
+
+
+def _model_name(value) -> str:
+    """task.model: one of the keys of ``_BASES``."""
+    if not isinstance(value, str) or value not in _BASES:
+        raise ValueError("must be 'fme' or 'obe'")
+    return value
+
+
+def _model(scenario: Scenario, name: str):
+    """The Floquet-Markov model or the Bloch-equation reference of the pair."""
+    if name == "fme":
+        return fme_model(_solve(scenario), scenario.geometry, scenario.bath)
+    return obe_reference(scenario.drive, scenario.geometry, scenario.bath, n_atoms=2)
 
 
 def _initial_state(label: str, model: str) -> np.ndarray:
-    states = _FME_STATES if model == "fme" else _OBE_STATES
+    states = _BASES[model]
     if label not in states:
         raise ScenarioError(
             f"initial_state must be one of {sorted(states)} for model '{model}'"
         )
+    k = states.index(label)
     rho = np.zeros((4, 4), dtype=complex)
-    rho[states[label], states[label]] = 1.0
+    rho[k, k] = 1.0
     return rho
 
 
@@ -157,31 +171,25 @@ def _run_evolve(scenario: Scenario, outdir, threads: int) -> None:
     params = task_params(
         scenario,
         {
-            "model": (True, str),
-            "t_final": (True, float),
+            "model": (True, _model_name),
+            "t_final": (True, number),
             "n_times": (False, integer),
             "initial_state": (True, str),
         },
         "evolve",
     )
     model_name = params["model"]
-    if model_name not in ("fme", "obe"):
-        raise ScenarioError("task.model must be 'fme' or 'obe'")
     if params["t_final"] <= 0.0:
         raise ScenarioError("task.t_final must be positive")
     n_times = params.get("n_times", 201)
     if n_times < 2:
         raise ScenarioError("task.n_times must be at least 2")
-    model = (
-        fme_model(_solve(scenario), scenario.geometry, scenario.bath)
-        if model_name == "fme"
-        else obe_reference(scenario.drive, scenario.geometry, scenario.bath, n_atoms=2)
-    )
+    model = _model(scenario, model_name)
     rho0 = _initial_state(params["initial_state"], model_name)
     times = np.linspace(0.0, params["t_final"], n_times)
     traj = evolve(model, rho0, times)
     pops = np.real(np.einsum("tii->ti", traj))
-    basis = ("pp", "pm", "mp", "mm") if model_name == "fme" else ("ee", "eg", "ge", "gg")
+    basis = _BASES[model_name]
     emit_csv(
         Table(
             columns=("time_s",) + tuple(f"pop_{b}" for b in basis) + ("trace",),
@@ -204,15 +212,8 @@ def _run_evolve(scenario: Scenario, outdir, threads: int) -> None:
 
 
 def _run_steady(scenario: Scenario, outdir, threads: int) -> None:
-    params = task_params(scenario, {"model": (True, str)}, "steady")
-    if params["model"] not in ("fme", "obe"):
-        raise ScenarioError("task.model must be 'fme' or 'obe'")
-    model = (
-        fme_model(_solve(scenario), scenario.geometry, scenario.bath)
-        if params["model"] == "fme"
-        else obe_reference(scenario.drive, scenario.geometry, scenario.bath, n_atoms=2)
-    )
-    rho = steady_state(model)
+    params = task_params(scenario, {"model": (True, _model_name)}, "steady")
+    rho = steady_state(_model(scenario, params["model"]))
     rows = tuple(
         (i, j, float(rho[i, j].real), float(rho[i, j].imag))
         for i in range(rho.shape[0])
@@ -298,11 +299,11 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
     params = task_params(
         scenario,
         {
-            "rabi_over_omega_min": (True, float),
-            "rabi_over_omega_max": (True, float),
+            "rabi_over_omega_min": (True, number),
+            "rabi_over_omega_max": (True, number),
             "n_rabi": (True, integer),
-            "omega_eg_over_omega_min": (True, float),
-            "omega_eg_over_omega_max": (True, float),
+            "omega_eg_over_omega_min": (True, number),
+            "omega_eg_over_omega_max": (True, number),
             "n_omega_eg": (True, integer),
         },
         "taumap",
@@ -349,15 +350,15 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
 def _run_compare(scenario: Scenario, outdir, threads: int) -> None:
     params = task_params(
         scenario,
-        {"horizon": (True, float), "initial_state": (False, str)},
+        {"horizon": (True, number), "initial_state": (False, str)},
         "compare",
     )
     if params["horizon"] <= 0.0:
         raise ScenarioError("task.horizon must be positive")
     label = params.get("initial_state", "+-")
-    if label not in _COMPARE_STATES:
+    if label not in DRESSED_PAIR_LABELS:
         raise ScenarioError(
-            f"task.initial_state must be one of {list(_COMPARE_STATES)} for compare"
+            f"task.initial_state must be one of {list(DRESSED_PAIR_LABELS)} for compare"
         )
     comparison = fme_vs_obe_compare(
         scenario.drive,
@@ -367,7 +368,7 @@ def _run_compare(scenario: Scenario, outdir, threads: int) -> None:
         initial_label=label,
         n_samples=scenario.numerics.n_samples,
     )
-    basis = ("pp", "pm", "mp", "mm")
+    basis = _BASES["fme"]
     emit_csv(
         Table(
             columns=("time_s",)
@@ -438,7 +439,7 @@ def _run_reproduce_paper(scenario: Scenario, outdir, threads: int) -> None:
     om_drive = omega_dd(drive.omega_eg, geometry)
     jt = j_tensor(theta, om_drive)
 
-    _, _, coeff = _pipeline(scenario)
+    coeff = _coefficients(scenario)
     cg_pp, cg_pm = coarse_grained_coefficients(theta, om_drive)
     rel_pp = abs(coeff.c_pp - cg_pp) / abs(cg_pm)
     rel_pm = abs(coeff.c_pm - cg_pm) / abs(cg_pm)

@@ -106,18 +106,15 @@ def _sigma_x_spectrum(sol: FloquetSolution) -> np.ndarray:
     return out
 
 
-def matrix_elements(sol: FloquetSolution, truncation: int | None = None) -> MatrixElementTable:
+def matrix_elements(sol: FloquetSolution) -> MatrixElementTable:
     """Sideband matrix elements of sigma_x between the Floquet branches.
 
     The element products spread over twice the mode bandwidth, so the
-    default cutoff is twice the solution's sideband truncation (capped at
-    the grid Nyquist index).
+    cutoff is twice the solution's sideband truncation (capped below the
+    grid Nyquist index).
     """
     n = sol.grid.n_samples
-    if truncation is None:
-        truncation = min(2 * sol.truncation, n // 2 - 1)
-    if truncation < 1 or truncation > n // 2 - 1:
-        raise ValueError("cutoff must satisfy 1 <= M <= n_samples/2 - 1")
+    truncation = min(2 * sol.truncation, n // 2 - 1)
     spectrum = _sigma_x_spectrum(sol)
     indexes = np.arange(-truncation, truncation + 1) % n
     return MatrixElementTable(entries=spectrum[:, :, indexes], truncation=truncation)

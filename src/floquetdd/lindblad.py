@@ -21,7 +21,7 @@ import numpy as np
 
 from .bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single, omega_dd
 from .dipole import build_channels, build_hdp2, coupling_coefficients, matrix_elements
-from .errors import SteadyStateDegeneracyError, HierarchyViolationError
+from .errors import HierarchyViolationError, PhysicsError, SteadyStateDegeneracyError
 from .floquet import (
     SIGMA_X,
     SIGMA_Z,
@@ -31,9 +31,23 @@ from .floquet import (
     dressed_states,
     floquet_solve,
 )
-from .validity import timescale_report
+from .validity import HIERARCHY_MARGIN, timescale_report
 
 _RATE_CLAMP_TOL = 1e-12
+
+# The largest departures from Hermiticity, unit trace and positivity that
+# validate_density_matrix still takes for round-off; beyond them a state is wrong.
+_HERMITICITY_TOL = 1e-10
+_TRACE_TOL = 1e-10
+_EIGENVALUE_FLOOR = -1e-9
+
+# Dressed product states of the pair, in the order of the FME basis and of
+# the rows of every two-atom matrix built from the Floquet solution.
+DRESSED_PAIR_LABELS = ("++", "+-", "-+", "--")
+
+# Report times per dressed beat in fme_vs_obe_compare: enough to resolve the
+# beat that its moving average (10/omega_gen, about 1.6 beats) smooths away.
+_REPORTS_PER_BEAT = 16
 
 
 @dataclass(frozen=True)
@@ -79,12 +93,7 @@ class LindbladModel:
         return max((r for r, _ in self.channels), default=0.0)
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-9,
-) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and near-positivity of a state.
 
     Accepts one state (d, d) or a stack (..., d, d); every state in the
@@ -96,12 +105,12 @@ def validate_density_matrix(
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     rho_dag = np.swapaxes(rho, -1, -2).conj()
-    if np.any(np.abs(rho - rho_dag) > herm_tol):
+    if np.any(np.abs(rho - rho_dag) > _HERMITICITY_TOL):
         raise ValueError("density matrix is not Hermitian")
     trace = np.trace(rho, axis1=-2, axis2=-1)
-    if np.any(np.abs(trace.real - 1.0) > trace_tol) or np.any(np.abs(trace.imag) > trace_tol):
+    if np.any(np.abs(trace.real - 1.0) > _TRACE_TOL) or np.any(np.abs(trace.imag) > _TRACE_TOL):
         raise ValueError("density matrix trace differs from one")
-    if np.any(np.linalg.eigvalsh(0.5 * (rho + rho_dag)) < eig_floor):
+    if np.any(np.linalg.eigvalsh(0.5 * (rho + rho_dag)) < _EIGENVALUE_FLOOR):
         raise ValueError("density matrix has a significantly negative eigenvalue")
     return rho
 
@@ -135,7 +144,9 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
     is taken per distinct interval (the first interval runs from t = 0 to
     ``times[0]``); the steps are applied in order, each followed by
     Hermitization rho -> (rho + rho^+)/2.  Every returned state is checked
-    for Hermiticity, unit trace and near-positivity.
+    for Hermiticity, unit trace and near-positivity.  An invalid ``rho0`` is
+    a ``ValueError``; failing returned states are a :class:`PhysicsError`,
+    as their round-off grows with ||L|| t_final, not with the step size.
     """
     from scipy.linalg import expm
 
@@ -155,7 +166,15 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
         rho = (steppers[idx] @ rho.reshape(-1)).reshape(d, d)
         rho = 0.5 * (rho + rho.conj().T)
         out[k] = rho
-    return validate_density_matrix(out)
+    try:
+        return validate_density_matrix(out)
+    except ValueError as err:
+        scale = np.linalg.norm(liou, 2) * times[-1]
+        raise PhysicsError(
+            f"evolved states are not density matrices ({err}): the round-off of "
+            f"the exponentials builds up over ||L|| * t_final = {scale:.1e}; "
+            "choose a shorter t_final"
+        ) from err
 
 
 def steady_state(model: LindbladModel) -> np.ndarray:
@@ -271,10 +290,8 @@ def smoothed_populations(populations: np.ndarray, window: int) -> tuple[np.ndarr
     it aligns with (edges where the window does not fit are dropped).
     """
     populations = np.asarray(populations, dtype=float)
-    if window < 1:
-        raise ValueError("window must be positive")
-    if window % 2 == 0:
-        window += 1
+    if window < 1 or window % 2 == 0:
+        raise ValueError("window must be a positive odd number of samples")
     if window > populations.shape[0]:
         raise ValueError("window exceeds the trajectory length")
     kernel = np.full(window, 1.0 / window)
@@ -283,25 +300,14 @@ def smoothed_populations(populations: np.ndarray, window: int) -> tuple[np.ndarr
     return np.stack(cols, axis=1), slice(half, populations.shape[0] - half)
 
 
-def max_population_deviation(pops_a: np.ndarray, pops_b: np.ndarray) -> float:
-    """Largest absolute entrywise deviation between two population tables."""
-    a = np.asarray(pops_a, dtype=float)
-    b = np.asarray(pops_b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("population tables must have equal shapes")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))
-
-
 @dataclass(frozen=True)
 class FmeObeComparison:
     """Outcome of evolving the Floquet-Markov and Bloch models side by side.
 
     Populations are in the dressed/Floquet product basis ordering
-    {++, +-, -+, --}; the smoothed Bloch populations carry a centered
-    moving average over ``window_samples`` report steps (about ten dressed
-    beat periods) and align with ``times[interior]``.
+    ``DRESSED_PAIR_LABELS``; the smoothed Bloch populations carry a centered
+    moving average over ``window_samples`` report steps (10/omega_gen
+    rounded to steps, then up to odd) and align with ``times[interior]``.
     """
 
     times: np.ndarray
@@ -320,39 +326,37 @@ def fme_vs_obe_compare(
     horizon: float,
     initial_label: str = "+-",
     n_samples: int = 1024,
-    samples_per_beat: int = 16,
-    margin: float = 10.0,
 ) -> FmeObeComparison:
     """Compare Floquet-Markov and Bloch-equation dynamics for the pair.
 
     Refuses (raising :class:`HierarchyViolationError`) unless the weak
-    drive hierarchy 1/omega << 1/omega_gen << 1/|omega_dd| holds with the
-    given margin factor and the quasienergy-spacing time scale is finite.
+    drive hierarchy 1/omega << 1/omega_gen << 1/|omega_dd| holds by
+    ``HIERARCHY_MARGIN`` and the quasienergy-spacing time scale is finite.
     Both models start in the same dressed product state and are advanced
     with :func:`evolve` on the uniform report grid; the
     Bloch trajectory is rotated into the dressed basis and smoothed over a
     10/omega_gen window before the deviation is taken.
     """
-    report = timescale_report(drive, geometry, bath, n_samples=n_samples, margin=margin)
+    report = timescale_report(drive, geometry, bath, n_samples=n_samples)
     scales_ok = (
         report.hierarchy_ok
-        and report.tau_omega * margin <= report.tau_omega_gen
-        and report.tau_omega_gen * margin <= report.tau_s
+        and report.tau_omega * HIERARCHY_MARGIN <= report.tau_omega_gen
+        and report.tau_omega_gen * HIERARCHY_MARGIN <= report.tau_s
     )
     if not scales_ok:
         raise HierarchyViolationError(
             "time-scale hierarchy violated: "
             f"tau_omega={report.tau_omega:.3e}, tau_mu={report.tau_mu:.3e}, "
             f"tau_omega_gen={report.tau_omega_gen:.3e}, tau_s={report.tau_s:.3e} "
-            f"(margin factor {margin})"
+            f"(margin factor {HIERARCHY_MARGIN})"
         )
     gen = dressed_states(drive)
 
-    labels = {"++": 0, "+-": 1, "-+": 2, "--": 3}
-    if initial_label not in labels:
-        raise ValueError(f"initial_label must be one of {sorted(labels)}")
+    if initial_label not in DRESSED_PAIR_LABELS:
+        raise ValueError(f"initial_label must be one of {sorted(DRESSED_PAIR_LABELS)}")
+    start = DRESSED_PAIR_LABELS.index(initial_label)
     rho_f0 = np.zeros((4, 4), dtype=complex)
-    rho_f0[labels[initial_label], labels[initial_label]] = 1.0
+    rho_f0[start, start] = 1.0
 
     fme = fme_model(floquet_solve(drive, TimeGrid.for_drive(drive, n_samples)), geometry, bath)
     obe = obe_reference(drive, geometry, bath, n_atoms=2)
@@ -363,7 +367,7 @@ def fme_vs_obe_compare(
     rho_o0 = w2 @ rho_f0 @ w2.conj().T
 
     beat = 2.0 * np.pi / gen.omega_gen
-    n_report = max(400, int(np.ceil(horizon / beat * samples_per_beat)))
+    n_report = max(400, int(np.ceil(horizon / beat * _REPORTS_PER_BEAT)))
     times = np.linspace(0.0, horizon, n_report + 1)
 
     traj_f = evolve(fme, rho_f0, times)
@@ -374,9 +378,10 @@ def fme_vs_obe_compare(
     pop_o = np.real(np.einsum("tii->ti", dressed_o))
 
     dt_report = times[1] - times[0]
-    window = max(int(round(10.0 / gen.omega_gen / dt_report)), 1)
+    # an odd number of samples centres the average on a report time
+    window = max(int(round(10.0 / gen.omega_gen / dt_report)), 1) | 1
     smoothed, interior = smoothed_populations(pop_o, window)
-    deviation = max_population_deviation(pop_f[interior], smoothed)
+    deviation = float(np.max(np.abs(pop_f[interior] - smoothed)))
     return FmeObeComparison(
         times=times,
         pop_fme=pop_f,

@@ -10,16 +10,14 @@ rad/s as given, "ordinary" values are Hz and get multiplied by 2 pi).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants
 
-from .bath import AtomGeometry, BathParams
+from .bath import E_A0, AtomGeometry, BathParams
 from .errors import ScenarioError
 from .floquet import DriveParams
-
-_E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 
 _TOP_KEYS = {"drive", "geometry", "bath", "numerics", "task"}
 _DRIVE_KEYS = {"omega", "rabi", "omega_eg", "detuning", "frequency_convention"}
@@ -65,24 +63,38 @@ def _reject_unknown(block: dict, allowed: set, context: str) -> None:
             raise ScenarioError(f"unknown key '{key}' in {context}")
 
 
-def _require_number(block: dict, key: str, context: str) -> float:
-    if key not in block:
-        raise ScenarioError(f"missing key '{key}' in {context}")
-    value = block[key]
+def number(value) -> float:
+    """The float of a finite JSON number; bool, str and ints beyond float range are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"key '{key}' in {context} must be a number")
-    if not np.isfinite(value):
-        raise ScenarioError(f"key '{key}' in {context} must be finite")
-    return float(value)
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ValueError("must be a number within float range") from None
+    if not math.isfinite(out):
+        raise ValueError(f"must be finite, got {value!r}")
+    return out
 
 
 def integer(value) -> int:
-    """The int of an integral JSON number; a fraction, bool or string is refused."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
+    """The int of an integral JSON number; a fraction or any non-number is refused."""
+    if not number(value).is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _read(block: dict, key: str, context: str, reader):
+    """``reader(block[key])``, its refusal turned into a ScenarioError naming the key."""
+    try:
+        return reader(block[key])
+    except (TypeError, ValueError) as err:
+        raise ScenarioError(f"invalid {context}.{key}: {err}") from err
+
+
+def _require_number(block: dict, key: str, context: str) -> float:
+    if key not in block:
+        raise ScenarioError(f"missing key '{key}' in {context}")
+    return _read(block, key, context, number)
 
 
 def _parse_drive(block) -> DriveParams:
@@ -120,7 +132,7 @@ def _parse_geometry(block) -> AtomGeometry:
     if has_mag:
         dipole = _require_number(block, "dipole_mag", "geometry")
     else:
-        dipole = _E_A0 * _require_number(block, "dipole_ea0", "geometry")
+        dipole = E_A0 * _require_number(block, "dipole_ea0", "geometry")
 
     has_positions = "positions" in block
     if has_positions:
@@ -167,11 +179,7 @@ def _parse_numerics(block) -> Numerics:
     kwargs = {}
     for key in ("n_samples", "sideband_cutoff"):
         if key in block:
-            _require_number(block, key, "numerics")
-            try:
-                kwargs[key] = integer(block[key])
-            except ValueError as err:
-                raise ScenarioError(f"invalid numerics.{key}: {err}") from err
+            kwargs[key] = _read(block, key, "numerics", integer)
     return Numerics(**kwargs)
 
 
@@ -199,24 +207,21 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as err:
-        raise ScenarioError(f"scenario is not valid JSON: {err}") from err
+    except ValueError as err:  # malformed, or an int beyond Python's digit limit
+        raise ScenarioError(f"scenario cannot be read as JSON: {err}") from err
     return parse_scenario_dict(data)
 
 
 def task_params(scenario: Scenario, allowed: dict, context: str) -> dict:
-    """Validate the task block against {key: (required, caster)} specs."""
+    """Validate the task block against {key: (required, reader)} specs."""
     block = scenario.task
     for key in block:
         if key not in allowed:
             raise ScenarioError(f"unknown key '{key}' in task ({context})")
     out = {}
-    for key, (required, caster) in allowed.items():
+    for key, (required, reader) in allowed.items():
         if key in block:
-            try:
-                out[key] = caster(block[key])
-            except (TypeError, ValueError) as err:
-                raise ScenarioError(f"invalid task.{key}: {err}") from err
+            out[key] = _read(block, key, "task", reader)
         elif required:
             raise ScenarioError(f"missing task key '{key}' for {context}")
     return out

@@ -27,15 +27,19 @@ from .floquet import (
 
 _DIVERGENCE_TOL = 1e-12
 
+# "Much smaller than" in the time-scale hierarchy: one order of magnitude, so that
+# the terms the secular approximation drops average out over the longer scale.
+HIERARCHY_MARGIN = 10.0
+
 
 @dataclass(frozen=True)
 class TimescaleReport:
     """Hierarchy of the four relevant time scales for one scenario.
 
-    ``hierarchy_ok`` demands tau_omega <= tau_mu / margin and
-    tau_mu <= tau_s / margin (the "much smaller than" orderings quantified
-    by the margin factor, default 10).  ``margin_low`` is tau_mu/tau_omega
-    and ``margin_high`` is tau_s/tau_mu; both may be infinite.
+    ``hierarchy_ok`` demands tau_omega <= tau_mu / HIERARCHY_MARGIN and
+    tau_mu <= tau_s / HIERARCHY_MARGIN (the "much smaller than" orderings).
+    ``margin_low`` is tau_mu/tau_omega and ``margin_high`` is tau_s/tau_mu;
+    both may be infinite.
     """
 
     tau_omega: float
@@ -45,7 +49,11 @@ class TimescaleReport:
     hierarchy_ok: bool
     margin_low: float
     margin_high: float
-    margin: float
+
+
+def _min_spacing(omega: float, mu_abs):
+    """min(omega - 2|mu_+|, 2|mu_+|, |omega - 4|mu_+||), elementwise in |mu_+|."""
+    return np.minimum(np.minimum(omega - 2.0 * mu_abs, 2.0 * mu_abs), np.abs(omega - 4.0 * mu_abs))
 
 
 def tau_mu(drive: DriveParams, sol: FloquetSolution) -> float:
@@ -64,7 +72,7 @@ def tau_mu(drive: DriveParams, sol: FloquetSolution) -> float:
     mu_abs = abs(sol.mu_plus)
     if 2.0 * mu_abs >= omega:
         raise ValueError("zone condition violated: 2|mu_+| must stay below omega")
-    inv = min(omega - 2.0 * mu_abs, 2.0 * mu_abs, abs(omega - 4.0 * mu_abs))
+    inv = float(_min_spacing(omega, mu_abs))
     if inv < _DIVERGENCE_TOL * omega:
         return np.inf
     return 1.0 / inv
@@ -156,14 +164,7 @@ def scan_tau_map(
         mu_abs = np.concatenate([p[0] for p in parts], axis=0)
         half_trace = np.concatenate([p[1] for p in parts], axis=0)
 
-    spacings = np.stack(
-        [
-            omega - 2.0 * mu_abs,
-            2.0 * mu_abs,
-            np.abs(omega - 4.0 * mu_abs),
-        ]
-    )
-    tau_inv = spacings.min(axis=0)
+    tau_inv = _min_spacing(omega, mu_abs)
     flags = _stripe_flags(half_trace, tau_inv, omega)
     tau_inv_over_omega = np.where(tau_inv < _DIVERGENCE_TOL * omega, 0.0, tau_inv / omega)
     return TauMap(
@@ -180,7 +181,6 @@ def timescale_report(
     geometry: AtomGeometry,
     bath: BathParams,
     n_samples: int = 1024,
-    margin: float = 10.0,
 ) -> TimescaleReport:
     """Assemble the time-scale hierarchy for one physical scenario.
 
@@ -207,8 +207,8 @@ def timescale_report(
     margin_high = tau_s / t_mu if np.isfinite(t_mu) else 0.0
     ok = bool(
         np.isfinite(t_mu)
-        and margin_low >= margin
-        and tau_s >= margin * t_mu
+        and margin_low >= HIERARCHY_MARGIN
+        and tau_s >= HIERARCHY_MARGIN * t_mu
     )
     return TimescaleReport(
         tau_omega=tau_omega,
@@ -218,5 +218,4 @@ def timescale_report(
         hierarchy_ok=ok,
         margin_low=margin_low,
         margin_high=margin_high,
-        margin=margin,
     )

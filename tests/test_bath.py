@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import constants
 
+import floquetdd
 from floquetdd.bath import (
+    BOHR_RADIUS,
+    C_LIGHT,
+    E_A0 as PINNED_E_A0,
+    E_CHARGE,
+    EPS0,
+    HBAR,
+    K_BOLTZMANN,
     AtomGeometry,
     BathParams,
     _XI_SERIES_THRESHOLD,
@@ -222,24 +234,6 @@ class TestThermalRates:
 
 
 class TestGeometryPositions:
-    def test_consistent_positions_accepted(self):
-        geom = AtomGeometry(
-            separation=2.0,
-            dipole_mag=1.0,
-            theta_d=0.5,
-            positions=((0.0, 0.0, 0.0), (0.0, 0.0, 2.0)),
-        )
-        assert geom.separation == 2.0
-
-    def test_inconsistent_positions_rejected(self):
-        with pytest.raises(ValueError):
-            AtomGeometry(
-                separation=1.0,
-                dipole_mag=1.0,
-                theta_d=0.5,
-                positions=((0.0, 0.0, 0.0), (0.0, 0.0, 2.0)),
-            )
-
     def test_from_positions_derives_angle(self):
         geom = AtomGeometry.from_positions(
             [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0]], dipole_mag=1.0, dipole_axis=[1.0, 0.0, 0.0]
@@ -250,3 +244,30 @@ class TestGeometryPositions:
             [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0]], dipole_mag=1.0, dipole_axis=[0.0, 0.0, -2.0]
         )
         assert tilted.theta_d == pytest.approx(0.0)
+
+
+class TestConstants:
+    def test_pinned_codata_values(self):
+        assert HBAR == 1.0545718176461565e-34
+        assert EPS0 == 8.8541878188e-12
+        assert C_LIGHT == 299792458.0
+        assert K_BOLTZMANN == 1.380649e-23
+        assert E_CHARGE == 1.602176634e-19
+        assert BOHR_RADIUS == 5.29177210544e-11
+        assert PINNED_E_A0 == 8.478353619788951e-30
+        # the SI fixes these four exactly, so every CODATA release agrees
+        assert (HBAR, C_LIGHT, K_BOLTZMANN, E_CHARGE) == (
+            constants.hbar,
+            constants.c,
+            constants.k,
+            constants.e,
+        )
+
+    def test_import_loads_no_scipy(self):
+        src = str(Path(floquetdd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, floquetdd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

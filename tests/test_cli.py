@@ -10,14 +10,12 @@ from floquetdd.io import read_csv
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 
 
+DRIVE = {"omega": 1e10, "rabi": 1e8, "omega_eg": 1e10, "frequency_convention": "angular"}
+
+
 def write_scenario(tmp_path, name="scenario.json", **overrides):
     data = {
-        "drive": {
-            "omega": 1e10,
-            "rabi": 1e8,
-            "omega_eg": 1e10,
-            "frequency_convention": "angular",
-        },
+        "drive": dict(DRIVE),
         "geometry": {"separation": 40e-6, "dipole_ea0": 1000.0, "theta_d": np.pi / 2},
         "bath": {"temperature": 0.0},
     }
@@ -143,6 +141,12 @@ OUT_OF_RANGE = [
     ),
     ("floquet", {"numerics": {"n_samples": 256.7}}, "numerics.n_samples"),
     ("taumap", {"numerics": {"sideband_cutoff": 4.5}, "task": taumap_task()}, "numerics.sideband_cutoff"),
+    # every number key refuses strings, bools and ints beyond float range
+    ("evolve", {"task": {"model": "obe", "t_final": "1e-9", "initial_state": "gg"}}, "task.t_final"),
+    ("evolve", {"task": {"model": "obe", "t_final": True, "initial_state": "gg"}}, "task.t_final"),
+    ("compare", {"task": {"horizon": "3e-5"}}, "task.horizon"),
+    ("coefficients", {"numerics": {"n_samples": 10**400}}, "numerics.n_samples"),
+    ("floquet", {"drive": {**DRIVE, "rabi": 10**400}}, "drive.rabi"),
 ]
 
 
@@ -190,6 +194,17 @@ class TestErrorPaths:
         scenario = write_scenario(tmp_path, **overrides)
         assert run(subcommand, scenario, tmp_path / "out") == 1
         assert key in capsys.readouterr().err
+
+    def test_long_evolve_horizon_exit_two(self, tmp_path, capsys):
+        # ||L|| t_final = 2e7 on the Bloch pair: round-off loses the trace
+        task = {"model": "obe", "t_final": 0.1, "n_times": 3, "initial_state": "gg"}
+        out = tmp_path / "out"
+        assert run("evolve", write_scenario(tmp_path, task=task), out) == 2
+        assert "t_final" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        task["t_final"] = 1e-2
+        assert run("evolve", write_scenario(tmp_path, task=task), out) == 0
+        assert (out / "trajectory.csv").exists()
 
     def test_compare_refusal_exit_two(self, tmp_path):
         scenario = write_scenario(

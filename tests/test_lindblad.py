@@ -14,7 +14,6 @@ from floquetdd.lindblad import (
     coarse_grained_coefficients,
     evolve,
     fme_vs_obe_compare,
-    max_population_deviation,
     obe_reference,
     smoothed_populations,
     steady_state,
@@ -304,16 +303,25 @@ class TestComparison:
         with pytest.raises(HierarchyViolationError):
             fme_vs_obe_compare(drive, RYDBERG, VACUUM, horizon=1e-5)
 
-    def test_self_comparison_deviation_zero(self):
-        pops = np.random.RandomState(3).rand(50, 4)
-        assert max_population_deviation(pops, pops) == 0.0
-
     def test_smoothing_window_alignment(self):
         pops = np.ones((40, 4))
         smoothed, interior = smoothed_populations(pops, 7)
         assert smoothed.shape == (34, 4)
         assert interior == slice(3, 37)
         np.testing.assert_allclose(smoothed, 1.0)
+        with pytest.raises(ValueError):
+            smoothed_populations(pops, 6)
+
+    def test_window_samples_is_the_averaged_count(self):
+        # at 1e-6 s the computed window is even (40); the average takes 41
+        drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
+        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, horizon=1e-6)
+        window = comparison.window_samples
+        assert window == 41
+        assert comparison.times.size - comparison.pop_obe_smoothed.shape[0] + 1 == window
+        np.testing.assert_allclose(
+            comparison.pop_obe_smoothed[0], comparison.pop_obe[:window].mean(axis=0), atol=1e-14
+        )
 
     def test_symmetric_state_commutes_with_swap(self):
         # Symmetric initial state of identical atoms stays exchange

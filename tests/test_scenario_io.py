@@ -149,6 +149,10 @@ class TestScenarioParsing:
         bad.write_text("{not json")
         with pytest.raises(ScenarioError):
             load_scenario(bad)
+        # valid JSON, but an int past Python's 4300-digit conversion limit
+        bad.write_text('{"drive": {"rabi": 1' + "0" * 5000 + "}}")
+        with pytest.raises(ScenarioError):
+            load_scenario(bad)
 
 
 class TestCsvEmission:

@@ -4,7 +4,7 @@ from scipy import constants
 
 from floquetdd.bath import AtomGeometry, BathParams
 from floquetdd.floquet import DriveParams, FloquetSolution, TimeGrid, dressed_states, floquet_solve
-from floquetdd.validity import scan_tau_map, tau_mu, timescale_report
+from floquetdd.validity import HIERARCHY_MARGIN, scan_tau_map, tau_mu, timescale_report
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 OMEGA = 1e10
@@ -157,10 +157,12 @@ class TestTimescaleReport:
         assert report.margin_high > 1e6
 
     def test_margin_factor_is_configurable(self):
-        drive = DriveParams(omega=1e10, rabi=5e8, omega_eg=1e10)
-        strict = timescale_report(drive, RYDBERG, VACUUM, margin=100.0)
-        loose = timescale_report(drive, RYDBERG, VACUUM, margin=10.0)
-        assert loose.margin == 10.0
-        assert strict.margin == 100.0
-        # rabi/omega = 0.05: tau_mu/tau_omega = 20, ok at 10x but not 100x
-        assert loose.hierarchy_ok and not strict.hierarchy_ok
+        # Both sides of the margin: rabi/omega = 0.05 gives tau_mu/tau_omega
+        # = 20, above HIERARCHY_MARGIN; rabi/omega = 0.2 gives 5, below it.
+        assert HIERARCHY_MARGIN == 10.0
+        holds = timescale_report(DriveParams(omega=1e10, rabi=5e8, omega_eg=1e10), RYDBERG, VACUUM)
+        fails = timescale_report(DriveParams(omega=1e10, rabi=2e9, omega_eg=1e10), RYDBERG, VACUUM)
+        assert holds.margin_low == pytest.approx(20.0, rel=1e-3)
+        assert holds.hierarchy_ok
+        assert fails.margin_low < HIERARCHY_MARGIN
+        assert not fails.hierarchy_ok
