@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _solve(scenario: Scenario):
     grid = TimeGrid.for_drive(scenario.drive, scenario.numerics.n_samples)
-    return floquet_solve(scenario.drive, grid, scenario.numerics.sideband_cutoff)
+    return floquet_solve(scenario.drive, grid)
 
 
 def _coefficients(scenario: Scenario):
@@ -152,7 +152,7 @@ def _model(scenario: Scenario, name: str):
     """The Floquet-Markov model or the Bloch-equation reference of the pair."""
     if name == "fme":
         return fme_model(_solve(scenario), scenario.geometry, scenario.bath)
-    return obe_reference(scenario.drive, scenario.geometry, scenario.bath, n_atoms=2)
+    return obe_reference(scenario.drive, scenario.geometry, scenario.bath)
 
 
 def _initial_state(label: str, model: str) -> np.ndarray:

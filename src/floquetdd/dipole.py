@@ -27,6 +27,8 @@ from .bath import (
 from .errors import SidebandTruncationError
 from .floquet import SIGMA_X, FloquetSolution
 
+# The largest share of a sideband sum that its outer ring (|m| >= cutoff - 1)
+# may hold for the sum to count as converged at the table's cutoff.
 _CONVERGED_RING_TOL = 1e-10
 
 PLUS, MINUS = 0, 1
@@ -42,11 +44,6 @@ class MatrixElementTable:
 
     entries: np.ndarray
     truncation: int
-
-    def entry(self, alpha: int, beta: int, m: int) -> complex:
-        if abs(m) > self.truncation:
-            raise ValueError(f"sideband index {m} beyond truncation {self.truncation}")
-        return complex(self.entries[alpha, beta, self.truncation + m])
 
     @property
     def m_values(self) -> np.ndarray:
@@ -120,6 +117,22 @@ def matrix_elements(sol: FloquetSolution) -> MatrixElementTable:
     return MatrixElementTable(entries=spectrum[:, :, indexes], truncation=truncation)
 
 
+def _require_converged(terms: np.ndarray, scale: float, table: MatrixElementTable, sums: str) -> None:
+    """Refuse sideband sums whose outer ring holds more than 1e-10 of ``scale``.
+
+    ``terms`` holds one sum per row along its last axis, over the table's
+    sidebands; the ring is each row's sum over |m| >= cutoff - 1.
+    """
+    outer = np.abs(table.m_values) >= table.truncation - 1
+    ring = float(np.max(np.abs(np.sum(terms[..., outer], axis=-1))))
+    if scale > 0.0 and ring > _CONVERGED_RING_TOL * scale:
+        raise SidebandTruncationError(
+            f"{sums} sideband sums not converged at cutoff {table.truncation}: "
+            f"the outer ring holds {ring / scale:.1e} of their scale "
+            f"(limit {_CONVERGED_RING_TOL:.0e})"
+        )
+
+
 def coupling_coefficients(
     table: MatrixElementTable,
     sol: FloquetSolution,
@@ -132,7 +145,7 @@ def coupling_coefficients(
 
     The sums must be converged: the two outermost sideband rings may not
     contribute more than 1e-10 of the larger coefficient, otherwise a
-    :class:`SidebandTruncationError` asks for a larger table.
+    :class:`SidebandTruncationError` is raised.
     """
     omega = sol.drive.omega
     ms = table.m_values
@@ -145,16 +158,7 @@ def coupling_coefficients(
     breakdown_pm = w_mp * om_pm
 
     scale = max(abs(breakdown_pp.sum()), abs(breakdown_pm.sum()))
-    if scale > 0.0 and table.truncation >= 3:
-        outer = np.zeros(ms.size, dtype=bool)
-        outer[:2] = outer[-2:] = True
-        ring_pp = abs(breakdown_pp[outer].sum())
-        ring_pm = abs(breakdown_pm[outer].sum())
-        if max(ring_pp, ring_pm) > _CONVERGED_RING_TOL * scale:
-            raise SidebandTruncationError(
-                "sideband sums not converged at cutoff "
-                f"{table.truncation}; enlarge the matrix-element table"
-            )
+    _require_converged(np.stack([breakdown_pp, breakdown_pm]), scale, table, "coupling-coefficient")
     return CouplingCoefficients(
         c_pp=float(breakdown_pp.sum()),
         c_pm=float(breakdown_pm.sum()),
@@ -237,16 +241,8 @@ def build_channels(
     args = ms * sol.drive.omega + np.array([[0.0], [delta], [-delta]])
     g11 = gamma_thermal_single(args, geometry, bath)
     g12 = gamma_thermal_pair(args, geometry, bath)
-    outer = np.abs(ms) >= table.truncation - 1
     tot_sum = _sequential_sum(weights * (g11 + g12))
     tot_dif = _sequential_sum(weights * (g11 - g12))
-    ring = _sequential_sum((weights * (np.abs(g11) + np.abs(g12)))[:, outer])
-
-    scale = max(tot_sum)
-    if scale > 0.0 and max(ring) > _CONVERGED_RING_TOL * scale:
-        raise SidebandTruncationError(
-            "decay-rate sideband sums not converged at cutoff "
-            f"{table.truncation}; enlarge the matrix-element table"
-        )
+    _require_converged(weights * (np.abs(g11) + np.abs(g12)), max(tot_sum), table, "decay-rate")
     rates = np.stack([tot_sum, tot_dif], axis=1).reshape(-1)
     return ChannelSet(rates=rates, operators=_JUMP_OPERATORS, labels=_CHANNEL_LABELS)

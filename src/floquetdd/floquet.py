@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateQuasienergiesError, UndefinedMixingAngleError
+from .errors import DegenerateQuasienergiesError, SidebandTruncationError, UndefinedMixingAngleError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -36,7 +36,15 @@ _CF4_A1 = 0.25 - np.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 + np.sqrt(3.0) / 6.0
 
 _DEGENERACY_TOL = 1e-12
+# Fourier weight of a mode beyond the sideband cutoff is dropped from every
+# sideband sum, so it bounds the error of the sum rule.
 _DISCARDED_WEIGHT_TOL = 1e-12
+# Overlaps (or |e> populations) of the two Floquet vectors closer than this
+# are a tie: round-off of the eigenvectors could decide the branch labels.
+_BRANCH_TIE_TOL = 1e-12
+# The sideband cutoff the truncation search starts from; it grows by 2 until
+# the discarded Fourier weight is below _DISCARDED_WEIGHT_TOL.
+_MIN_TRUNCATION = 16
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,6 @@ class DriveParams:
     @property
     def period(self) -> float:
         return 2.0 * np.pi / self.omega
-
-    def hamiltonian(self, t: float) -> np.ndarray:
-        return self.rabi * np.cos(self.omega * t) * SIGMA_X + 0.5 * self.omega_eg * SIGMA_Z
 
 
 @dataclass(frozen=True)
@@ -257,17 +262,16 @@ def _orthonormal_eigenpairs(monodromy: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return values, np.stack([v0, v1], axis=1)
 
 
-def floquet_solve(drive: DriveParams, grid: TimeGrid, truncation: int = 16) -> FloquetSolution:
+def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     """Solve the one-atom Floquet problem on the given grid.
 
     Diagonalizes the monodromy operator, folds the eigenphases into the
     quasienergy zone, and builds the periodic modes phi(t_k) together with
-    their Fourier amplitudes.  ``truncation`` is the smallest sideband cutoff
-    kept; it is enlarged automatically until the discarded Fourier weight of
-    both branches drops below 1e-12 (never beyond n_samples / 4).
+    their Fourier amplitudes.  The sideband truncation is the smallest
+    cutoff 16, 18, ..., n_samples / 4 at which the discarded Fourier weight
+    of both branches is below 1e-12; when even n_samples / 4 leaves more,
+    a :class:`SidebandTruncationError` asks for a larger ``n_samples``.
     """
-    if truncation < 1 or truncation > grid.n_samples // 4:
-        raise ValueError("truncation must satisfy 1 <= M <= n_samples / 4")
     propagators = propagate_period(drive, grid)
     values, vectors = _orthonormal_eigenpairs(propagators[-1])
 
@@ -280,11 +284,11 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid, truncation: int = 16) -> F
         overlaps = np.abs(plus_ref.conj() @ vectors) ** 2
     except UndefinedMixingAngleError:
         overlaps = np.abs(vectors[0, :]) ** 2
-    if abs(overlaps[0] - overlaps[1]) > 1e-12:
+    if abs(overlaps[0] - overlaps[1]) > _BRANCH_TIE_TOL:
         plus = int(np.argmax(overlaps))
     else:
         e_pop = np.abs(vectors[0, :]) ** 2
-        if abs(e_pop[0] - e_pop[1]) > 1e-12:
+        if abs(e_pop[0] - e_pop[1]) > _BRANCH_TIE_TOL:
             plus = int(np.argmax(e_pop))
         else:
             plus = int(np.argmax(mus))
@@ -301,14 +305,18 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid, truncation: int = 16) -> F
     spectra = np.fft.fft(modes, axis=1) / grid.n_samples
     weights = np.sum(np.abs(spectra) ** 2, axis=-1)
 
-    m_kept = min(truncation, grid.n_samples // 4)
-    while m_kept < grid.n_samples // 4:
+    cap = grid.n_samples // 4
+    for m_kept in range(_MIN_TRUNCATION, cap + 1, 2):
         kept = np.concatenate([np.arange(0, m_kept + 1), np.arange(-m_kept, 0)])
         discarded = 1.0 - weights[:, kept].sum(axis=1).min()
         if discarded < _DISCARDED_WEIGHT_TOL:
             break
-        m_kept += 2
-    m_kept = min(m_kept, grid.n_samples // 4)
+    else:
+        raise SidebandTruncationError(
+            f"Floquet modes not resolved: {discarded:.1e} of their Fourier weight "
+            f"lies beyond the largest sideband cutoff n_samples / 4 = {cap} "
+            f"(limit {_DISCARDED_WEIGHT_TOL:.0e}); increase numerics.n_samples"
+        )
 
     indexes = np.arange(-m_kept, m_kept + 1) % grid.n_samples
     fourier = spectra[:, indexes, :]

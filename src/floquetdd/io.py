@@ -94,13 +94,6 @@ def matrix_to_json(matrix: np.ndarray) -> dict:
     }
 
 
-def json_to_matrix(obj: dict) -> np.ndarray:
-    shape = (int(obj["rows"]), int(obj["cols"]))
-    real = np.array(obj["real"], dtype=float).reshape(shape)
-    imag = np.array(obj["imag"], dtype=float).reshape(shape)
-    return real + 1j * imag
-
-
 @dataclass
 class ResultBundle:
     """Inputs echo plus per-task outputs of one command-line run."""

@@ -34,6 +34,21 @@ from .floquet import (
 from .validity import HIERARCHY_MARGIN, timescale_report
 
 _RATE_CLAMP_TOL = 1e-12
+# A Hamiltonian whose anti-Hermitian part exceeds this share of its largest
+# entry (at least 1) is refused: assembly round-off stays far below it.
+_HAMILTONIAN_HERMITICITY_TOL = 1e-12
+
+# steady_state:
+# - singular values below _NULL_SPACE_GAP * sigma_max(L) span the null space; the
+#   SVD resolves about 1e-16 relative, and the gap leaves four decades for
+#   the round-off of the assembled L;
+# - a unit-norm null vector with |trace| below _NULL_TRACE_FLOOR is traceless
+#   up to round-off and cannot be normalized to a state;
+# - a normalized state with ||L rho|| above _STEADY_RESIDUAL_TOL * max(||L||_F, 1)
+#   is no null state within round-off.
+_NULL_SPACE_GAP = 1e-12
+_NULL_TRACE_FLOOR = 1e-14
+_STEADY_RESIDUAL_TOL = 1e-10
 
 # The largest departures from Hermiticity, unit trace and positivity that
 # validate_density_matrix still takes for round-off; beyond them a state is wrong.
@@ -68,7 +83,7 @@ class LindbladModel:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("hamiltonian must be a square matrix")
         scale = max(float(np.max(np.abs(h))), 1.0)
-        if np.max(np.abs(h - h.conj().T)) > 1e-12 * scale:
+        if np.max(np.abs(h - h.conj().T)) > _HAMILTONIAN_HERMITICITY_TOL * scale:
             raise ValueError("hamiltonian must be Hermitian")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "dimension", h.shape[0])
@@ -187,7 +202,7 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     """
     liou = build_liouvillian(model)
     _, singulars, vh = np.linalg.svd(liou)
-    tol = 1e-12 * singulars[0]
+    tol = _NULL_SPACE_GAP * singulars[0]
     multiplicity = int(np.sum(singulars <= tol))
     if multiplicity != 1:
         raise SteadyStateDegeneracyError(max(multiplicity, 2))
@@ -196,11 +211,11 @@ def steady_state(model: LindbladModel) -> np.ndarray:
     rho = vec.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     trace = np.trace(rho).real
-    if abs(trace) < 1e-14:
+    if abs(trace) < _NULL_TRACE_FLOOR:
         raise SteadyStateDegeneracyError(2)
     rho = rho / trace
     residual = np.linalg.norm(liou @ rho.reshape(-1))
-    if residual > 1e-10 * max(np.linalg.norm(liou), 1.0):
+    if residual > _STEADY_RESIDUAL_TOL * max(np.linalg.norm(liou), 1.0):
         raise SteadyStateDegeneracyError(2)
     return rho
 
@@ -218,34 +233,20 @@ def fme_model(sol: FloquetSolution, geometry: AtomGeometry, bath: BathParams) ->
     return LindbladModel(hamiltonian=build_hdp2(coeff), channels=tuple(channels))
 
 
-def obe_reference(
-    drive: DriveParams,
-    geometry: AtomGeometry,
-    bath: BathParams,
-    n_atoms: int = 2,
-) -> LindbladModel:
-    """Optical Bloch equations in the rotating frame for one or two atoms.
+def obe_reference(drive: DriveParams, geometry: AtomGeometry, bath: BathParams) -> LindbladModel:
+    """Optical Bloch equations of the pair in the rotating frame.
 
-    Hamiltonian per atom: rabi/2 * sigma_x - detuning/2 * sigma_z; for two
-    atoms the bare flip-flop coupling omega_dd(omega_eg) * (s+ s- + s- s+)
-    is added.  Decay channels use the bare symmetric/antisymmetric lowering
-    combinations with rates Gamma_11 +- Gamma_12 at omega_eg; for a warm
-    bath the corresponding raising channels appear with the rates at
-    -omega_eg.  Bare basis ordering: {|ee>, |eg>, |ge>, |gg>}.
+    Hamiltonian per atom: rabi/2 * sigma_x - detuning/2 * sigma_z, plus the
+    bare flip-flop coupling omega_dd(omega_eg) * (s+ s- + s- s+).  Decay
+    channels use the bare symmetric/antisymmetric lowering combinations
+    with rates Gamma_11 +- Gamma_12 at omega_eg; for a warm bath the
+    corresponding raising channels appear with the rates at -omega_eg.
+    Bare basis ordering: {|ee>, |eg>, |ge>, |gg>}.
     """
-    if n_atoms not in (1, 2):
-        raise ValueError("the Bloch-equation reference supports 1 or 2 atoms")
     lower = np.array([[0, 0], [1, 0]], dtype=complex)
     w_eg = drive.omega_eg
     g11_down = gamma_thermal_single(w_eg, geometry, bath)
     g11_up = gamma_thermal_single(-w_eg, geometry, bath)
-
-    if n_atoms == 1:
-        h = 0.5 * drive.rabi * SIGMA_X - 0.5 * drive.detuning * SIGMA_Z
-        channels = [(g11_down, lower)]
-        if g11_up > 0.0:
-            channels.append((g11_up, lower.conj().T))
-        return LindbladModel(hamiltonian=h, channels=tuple(channels))
 
     eye = np.eye(2, dtype=complex)
     one = lambda op, site: np.kron(op, eye) if site == 0 else np.kron(eye, op)
@@ -359,7 +360,7 @@ def fme_vs_obe_compare(
     rho_f0[start, start] = 1.0
 
     fme = fme_model(floquet_solve(drive, TimeGrid.for_drive(drive, n_samples)), geometry, bath)
-    obe = obe_reference(drive, geometry, bath, n_atoms=2)
+    obe = obe_reference(drive, geometry, bath)
 
     # Dressed single-atom frame at t=0: columns |+>, |->.
     w1 = np.stack([gen.plus_state(), gen.minus_state()], axis=1)

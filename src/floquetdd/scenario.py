@@ -23,26 +23,22 @@ _TOP_KEYS = {"drive", "geometry", "bath", "numerics", "task"}
 _DRIVE_KEYS = {"omega", "rabi", "omega_eg", "detuning", "frequency_convention"}
 _GEOMETRY_KEYS = {"separation", "theta_d", "dipole_mag", "dipole_ea0", "positions", "dipole_axis"}
 _BATH_KEYS = {"temperature"}
-_NUMERICS_KEYS = {"n_samples", "sideband_cutoff"}
+_NUMERICS_KEYS = {"n_samples"}
 
 
 @dataclass(frozen=True)
 class Numerics:
-    """Grid and truncation settings; the only block with defaults."""
+    """Grid settings; the only block with defaults.
+
+    The sideband truncation is not a setting: ``floquet_solve`` chooses it
+    from the discarded Fourier weight.
+    """
 
     n_samples: int = 1024
-    sideband_cutoff: int = 16
 
     def __post_init__(self):
         if self.n_samples < 64 or (self.n_samples & (self.n_samples - 1)) != 0:
             raise ScenarioError("numerics.n_samples must be a power of two, at least 64")
-        if self.sideband_cutoff < 1:
-            raise ScenarioError("numerics.sideband_cutoff must be positive")
-        if self.sideband_cutoff > self.n_samples // 4:
-            raise ScenarioError(
-                "numerics.sideband_cutoff must not exceed n_samples / 4 "
-                f"({self.n_samples // 4} at {self.n_samples} samples)"
-            )
 
 
 @dataclass(frozen=True)
@@ -58,9 +54,10 @@ class Scenario:
 
 
 def _reject_unknown(block: dict, allowed: set, context: str) -> None:
+    """Refuse keys outside ``allowed``, named as ``<context>.<key>`` like every invalid value."""
     for key in block:
         if key not in allowed:
-            raise ScenarioError(f"unknown key '{key}' in {context}")
+            raise ScenarioError(f"unknown key '{context}.{key}'" if context else f"unknown key '{key}'")
 
 
 def number(value) -> float:
@@ -176,17 +173,13 @@ def _parse_numerics(block) -> Numerics:
     if not isinstance(block, dict):
         raise ScenarioError("numerics block must be an object")
     _reject_unknown(block, _NUMERICS_KEYS, "numerics")
-    kwargs = {}
-    for key in ("n_samples", "sideband_cutoff"):
-        if key in block:
-            kwargs[key] = _read(block, key, "numerics", integer)
-    return Numerics(**kwargs)
+    return Numerics(**{key: _read(block, key, "numerics", integer) for key in block})
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be an object")
-    _reject_unknown(data, _TOP_KEYS, "scenario")
+    _reject_unknown(data, _TOP_KEYS, "")
     for required in ("drive", "geometry", "bath"):
         if required not in data:
             raise ScenarioError(f"missing block '{required}' in scenario")
@@ -217,7 +210,7 @@ def task_params(scenario: Scenario, allowed: dict, context: str) -> dict:
     block = scenario.task
     for key in block:
         if key not in allowed:
-            raise ScenarioError(f"unknown key '{key}' in task ({context})")
+            raise ScenarioError(f"unknown key 'task.{key}' for {context}")
     out = {}
     for key, (required, reader) in allowed.items():
         if key in block:

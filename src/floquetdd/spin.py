@@ -16,6 +16,11 @@ import numpy as np
 from .bath import AtomGeometry, omega_dd
 from .floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, dressed_states
 
+# Every Pauli product in the XYZ sum is a real matrix (the entries of Y_i Y_j
+# are products of two imaginary ones), so an imaginary part above round-off
+# of the largest entry is a bug.
+_IMAG_LEAK_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class JTensor:
@@ -33,14 +38,6 @@ class JTensor:
         for name in ("j_xx", "j_yy", "j_zz", "j_xz"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((3, 3))
-        out[0, 0] = self.j_xx
-        out[1, 1] = self.j_yy
-        out[2, 2] = self.j_zz
-        out[0, 2] = out[2, 0] = self.j_xz
-        return out
 
 
 def j_tensor(theta_m: float, omega_dd_val: float) -> JTensor:
@@ -129,6 +126,6 @@ def build_spin_hamiltonian(
             h += jt.j_xx * (xi @ xj) + jt.j_yy * (yi @ yj) + jt.j_zz * (zi @ zj)
             h += jt.j_xz * (xi @ zj + zi @ xj)
     imag_leak = float(np.max(np.abs(h.imag)))
-    if imag_leak > 1e-14 * max(float(np.max(np.abs(h.real))), 1.0):
+    if imag_leak > _IMAG_LEAK_TOL * max(float(np.max(np.abs(h.real))), 1.0):
         raise AssertionError("spin Hamiltonian acquired an imaginary part")
     return h.real

@@ -184,10 +184,12 @@ def timescale_report(
 ) -> TimescaleReport:
     """Assemble the time-scale hierarchy for one physical scenario.
 
-    Always returns a report: a quasienergy collision (degenerate monodromy)
-    is reported as tau_mu = inf with the hierarchy flagged as violated
-    rather than raised.  The bath parameters do not enter the scales and
-    are accepted for interface symmetry only.
+    A quasienergy collision (degenerate monodromy) is reported as
+    tau_mu = inf with the hierarchy flagged as violated rather than raised;
+    a drive whose Floquet modes ``n_samples`` cannot resolve raises the
+    :class:`SidebandTruncationError` of :func:`floquet_solve`.  The bath
+    parameters do not enter the scales and are accepted for interface
+    symmetry only.
     """
     del bath
     tau_omega = 1.0 / drive.omega

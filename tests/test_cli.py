@@ -110,10 +110,12 @@ def taumap_task(**overrides):
     return task
 
 
-# Out-of-range scenario values, each refused with exit 1 and the key named.
+# Refused scenario entries, each with exit 1 and the key named: values out of
+# range or of the wrong type, and numerics.sideband_cutoff, a key the schema
+# no longer has (floquet_solve chooses the sideband truncation itself).
 OUT_OF_RANGE = [
     *[
-        (sub, {"numerics": {"n_samples": 64, "sideband_cutoff": 17}, "task": task}, "numerics.sideband_cutoff")
+        (sub, {"numerics": {"n_samples": 1024, "sideband_cutoff": 16}, "task": task}, "numerics.sideband_cutoff")
         for sub, task in (
             ("floquet", {}),
             ("coefficients", {}),
@@ -121,6 +123,7 @@ OUT_OF_RANGE = [
             ("reproduce-paper", {}),
             ("evolve", {"model": "fme", "t_final": 1e-6, "initial_state": "pm"}),
             ("steady", {"model": "fme"}),
+            ("taumap", taumap_task()),
         )
     ],
     ("spinmodel", {"task": spin_task(7)}, "task.n_atoms"),
@@ -140,7 +143,6 @@ OUT_OF_RANGE = [
         "task.n_times",
     ),
     ("floquet", {"numerics": {"n_samples": 256.7}}, "numerics.n_samples"),
-    ("taumap", {"numerics": {"sideband_cutoff": 4.5}, "task": taumap_task()}, "numerics.sideband_cutoff"),
     # every number key refuses strings, bools and ints beyond float range
     ("evolve", {"task": {"model": "obe", "t_final": "1e-9", "initial_state": "gg"}}, "task.t_final"),
     ("evolve", {"task": {"model": "obe", "t_final": True, "initial_state": "gg"}}, "task.t_final"),
@@ -205,6 +207,21 @@ class TestErrorPaths:
         task["t_final"] = 1e-2
         assert run("evolve", write_scenario(tmp_path, task=task), out) == 0
         assert (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("subcommand, rabi, truncation", [("floquet", 2e11, 34), ("coefficients", 1e11, 22)])
+    def test_unresolved_sidebands_exit_two(self, tmp_path, capsys, subcommand, rabi, truncation):
+        # 64 samples give at most 16 sidebands: the modes of these drives keep
+        # 0.42 and 5.9e-7 of their Fourier weight beyond them.  256 samples
+        # resolve both, at the smallest cutoff that leaves below 1e-12.
+        drive = {**DRIVE, "rabi": rabi, "omega_eg": 9e9}
+        coarse = write_scenario(tmp_path, "coarse.json", drive=drive, numerics={"n_samples": 64})
+        assert run(subcommand, coarse, tmp_path / "coarse") == 2
+        assert "numerics.n_samples" in capsys.readouterr().err
+        fine = write_scenario(tmp_path, "fine.json", drive=drive, numerics={"n_samples": 256})
+        assert run(subcommand, fine, tmp_path / "fine") == 0
+        assert run("floquet", fine, tmp_path / "solve") == 0
+        bundle = json.loads((tmp_path / "solve" / "floquet.json").read_text())
+        assert bundle["outputs"]["truncation"] == truncation
 
     def test_compare_refusal_exit_two(self, tmp_path):
         scenario = write_scenario(

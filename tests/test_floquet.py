@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floquetdd.errors import DegenerateQuasienergiesError, UndefinedMixingAngleError
+from floquetdd.errors import (
+    DegenerateQuasienergiesError,
+    SidebandTruncationError,
+    UndefinedMixingAngleError,
+)
 from floquetdd.floquet import (
+    SIGMA_X,
+    SIGMA_Z,
     DriveParams,
     TimeGrid,
     dressed_states,
@@ -18,6 +24,11 @@ from oracles import sambe_floquet
 OMEGA = 1e10
 
 
+def lab_hamiltonian(drive, t):
+    """H(t) = rabi cos(w t) sigma_x + (omega_eg / 2) sigma_z in the basis {|e>, |g>}."""
+    return drive.rabi * np.cos(drive.omega * t) * SIGMA_X + 0.5 * drive.omega_eg * SIGMA_Z
+
+
 def sequential_cf4_propagators(drive, n):
     """Reference U(t_k, 0): the CF4 steps as scipy expm, multiplied one by one."""
     from scipy.linalg import expm
@@ -27,8 +38,8 @@ def sequential_cf4_propagators(drive, n):
     a1, a2 = 0.25 - np.sqrt(3.0) / 6.0, 0.25 + np.sqrt(3.0) / 6.0
     out = [np.eye(2, dtype=complex)]
     for k in range(n):
-        h1 = drive.hamiltonian((k + c1) * dt)
-        h2 = drive.hamiltonian((k + c2) * dt)
+        h1 = lab_hamiltonian(drive, (k + c1) * dt)
+        h2 = lab_hamiltonian(drive, (k + c2) * dt)
         step = expm(-1j * dt * (a1 * h1 + a2 * h2)) @ expm(-1j * dt * (a2 * h1 + a1 * h2))
         out.append(step @ out[-1])
     return np.array(out)
@@ -115,7 +126,7 @@ class TestPropagatePeriod:
 
         def rhs(t, y):
             u = y.reshape(2, 2)
-            return (-1j * drive.hamiltonian(t) @ u).reshape(-1)
+            return (-1j * lab_hamiltonian(drive, t) @ u).reshape(-1)
 
         result = solve_ivp(
             rhs,
@@ -193,10 +204,16 @@ class TestFloquetSolve:
             previous = sol.mu_plus
 
     def test_truncation_bounds(self):
-        drive = DriveParams(omega=OMEGA, rabi=0.0, omega_eg=0.3 * OMEGA)
-        grid = TimeGrid.for_drive(drive, 128)
-        with pytest.raises(ValueError):
-            floquet_solve(drive, grid, truncation=64)
+        # The cutoff is the smallest of 16, 18, ..., n/4 that leaves below
+        # 1e-12 of the Fourier weight; at n = 64 even 16 sidebands leave 0.42.
+        drive = DriveParams(omega=OMEGA, rabi=20.0 * OMEGA, omega_eg=0.9 * OMEGA)
+        with pytest.raises(SidebandTruncationError, match="numerics.n_samples"):
+            floquet_solve(drive, TimeGrid.for_drive(drive, 64))
+        sol = floquet_solve(drive, TimeGrid.for_drive(drive, 256))
+        assert sol.truncation == 34
+        weights = [sol.sideband_weights(branch) for branch in (0, 1)]
+        assert max(1.0 - w.sum() for w in weights) < 1e-12
+        assert max(1.0 - w[2:-2].sum() for w in weights) >= 1e-12  # 32 would not do
 
 
 class TestSambeOracle:
@@ -280,10 +297,11 @@ class TestDriveParams:
             TimeGrid(n_samples=32, period=1.0)
 
     def test_hamiltonian_samples(self):
+        # the lab-frame H(t) that the CF4 and ODE references above integrate
         drive = DriveParams(omega=2.0, rabi=0.5, omega_eg=1.4)
-        h0 = drive.hamiltonian(0.0)
+        h0 = lab_hamiltonian(drive, 0.0)
         np.testing.assert_allclose(h0, [[0.7, 0.5], [0.5, -0.7]], atol=1e-15)
-        quarter = drive.hamiltonian(np.pi / 2)  # cos(w t) = -1
+        quarter = lab_hamiltonian(drive, np.pi / 2)  # cos(w t) = -1
         np.testing.assert_allclose(quarter, [[0.7, -0.5], [-0.5, -0.7]], atol=1e-12)
 
 

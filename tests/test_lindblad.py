@@ -211,19 +211,24 @@ class TestSteadyState:
 
 class TestObeReference:
     def test_single_atom_channels(self):
+        # Each atom of the pair decays at the single-atom rate: the channels
+        # add up to sum_k g_k L_k^+ L_k = G11 (n_1 + n_2) + G12 (s1+ s2- + s2+ s1-).
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
-        model = obe_reference(drive, RYDBERG, VACUUM, n_atoms=1)
-        assert model.dimension == 2
-        assert len(model.channels) == 1
-        rate, op = model.channels[0]
-        assert rate == pytest.approx(gamma_thermal_single(1e10, RYDBERG, VACUUM))
-        np.testing.assert_allclose(op, LOWER)
+        model = obe_reference(drive, CLOSE, VACUUM)
+        assert model.dimension == 4
+        assert len(model.channels) == 2
+        g11 = gamma_thermal_single(1e10, CLOSE, VACUUM)
+        g12 = gamma_thermal_pair(1e10, CLOSE, VACUUM)
+        s1, s2 = np.kron(LOWER, np.eye(2)), np.kron(np.eye(2), LOWER)
+        expected = g11 * (s1.T @ s1 + s2.T @ s2) + g12 * (s1.T @ s2 + s2.T @ s1)
+        total = sum(rate * op.conj().T @ op for rate, op in model.channels)
+        np.testing.assert_allclose(total, expected, rtol=0.0, atol=1e-12 * g11)
 
     def test_dicke_pair_decay_rates(self):
         # Undriven two-atom sector decay: symmetric state at G11 + G12,
         # antisymmetric at G11 - G12.
         drive = DriveParams(omega=1e10, rabi=0.0, omega_eg=1e10)
-        model = obe_reference(drive, CLOSE, VACUUM, n_atoms=2)
+        model = obe_reference(drive, CLOSE, VACUUM)
         g11 = gamma_thermal_single(1e10, CLOSE, VACUUM)
         g12 = gamma_thermal_pair(1e10, CLOSE, VACUUM)
         for sign, expected in ((1.0, g11 + g12), (-1.0, g11 - g12)):
@@ -238,7 +243,7 @@ class TestObeReference:
 
     def test_flip_flop_conserves_total_excitation(self):
         drive = DriveParams(omega=1e10, rabi=0.0, omega_eg=1e10)
-        model = obe_reference(drive, RYDBERG, VACUUM, n_atoms=2)
+        model = obe_reference(drive, RYDBERG, VACUUM)
         number = np.diag([2.0, 1.0, 1.0, 0.0]).astype(complex)
         comm = model.hamiltonian @ number - number @ model.hamiltonian
         assert np.max(np.abs(comm)) < 1e-12 * np.abs(model.hamiltonian).max()
@@ -249,8 +254,10 @@ class TestObeReference:
         # sits measurably below saturation.
         big = AtomGeometry(separation=constants.c / 1e10, dipole_mag=4e8 * E_A0, theta_d=np.pi / 2)
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
-        model = obe_reference(drive, big, VACUUM, n_atoms=1)
-        g = model.channels[0][0]
+        g = gamma_thermal_single(drive.omega_eg, big, VACUUM)
+        # the one-atom Bloch model in the rotating frame, basis {|e>, |g>}
+        h = 0.5 * drive.rabi * SX - 0.5 * drive.detuning * SZ
+        model = LindbladModel(hamiltonian=h, channels=((g, LOWER),))
         rho = steady_state(model)
         expected = (drive.rabi**2 / 4) / (drive.rabi**2 / 2 + g**2 / 4)
         assert rho[0, 0].real == pytest.approx(expected, rel=1e-10)
@@ -259,13 +266,8 @@ class TestObeReference:
     def test_thermal_bath_adds_raising_channels(self):
         drive = DriveParams(omega=1e9, rabi=0.0, omega_eg=1e9)
         warm = BathParams(temperature=1.0)
-        model = obe_reference(drive, CLOSE, warm, n_atoms=2)
+        model = obe_reference(drive, CLOSE, warm)
         assert len(model.channels) == 4
-
-    def test_atom_count_guard(self):
-        drive = DriveParams(omega=1e10, rabi=0.0, omega_eg=1e10)
-        with pytest.raises(ValueError):
-            obe_reference(drive, RYDBERG, VACUUM, n_atoms=3)
 
 
 class TestCoarseGrainedCoefficients:
@@ -337,7 +339,7 @@ class TestComparison:
             hamiltonian=build_hdp2(coeff),
             channels=tuple(build_channels(table, sol, RYDBERG, VACUUM)),
         )
-        obe = obe_reference(drive, RYDBERG, VACUUM, n_atoms=2)
+        obe = obe_reference(drive, RYDBERG, VACUUM)
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
         psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2)

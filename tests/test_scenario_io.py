@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from floquetdd.io import (
     Table,
     emit_csv,
     emit_json,
-    json_to_matrix,
     matrix_to_json,
     read_csv,
     read_json,
@@ -121,15 +122,24 @@ class TestScenarioParsing:
         data["numerics"] = {"n_samples": 512}
         sc = parse_scenario_dict(data)
         assert sc.numerics.n_samples == 512
-        assert sc.numerics.sideband_cutoff == 16
+        data["numerics"] = {}
+        assert parse_scenario_dict(data).numerics == Numerics(n_samples=1024)
         data["numerics"] = {"n_samples": 100}
         with pytest.raises(ScenarioError):
             parse_scenario_dict(data)
+        # floquet_solve chooses the sideband truncation; the schema has no key for it
         data["numerics"] = {"n_samples": 64, "sideband_cutoff": 16}
-        assert parse_scenario_dict(data).numerics.sideband_cutoff == 16
-        data["numerics"] = {"n_samples": 64, "sideband_cutoff": 17}
-        with pytest.raises(ScenarioError, match="sideband_cutoff"):
+        with pytest.raises(ScenarioError, match="unknown key 'numerics.sideband_cutoff'"):
             parse_scenario_dict(data)
+
+    def test_readme_example_parses(self):
+        # The scenario example in README.md must stay valid under the schema.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) == 1
+        sc = parse_scenario_dict(json.loads(blocks[0]))
+        assert sc.numerics == Numerics(n_samples=1024)
+        assert sc.task == {"horizon": 3e-5}
 
     def test_task_params_validation(self):
         data = base_scenario()
@@ -214,7 +224,9 @@ class TestJsonEmission:
         m = np.array([[1.0 + 2.0j, 0.0], [3.5, -1.0j]])
         encoded = matrix_to_json(m)
         assert encoded["rows"] == 2 and encoded["cols"] == 2
-        np.testing.assert_array_equal(json_to_matrix(encoded), m)
+        shape = (encoded["rows"], encoded["cols"])
+        decoded = np.reshape(encoded["real"], shape) + 1j * np.reshape(encoded["imag"], shape)
+        np.testing.assert_array_equal(decoded, m)
 
     def test_non_finite_guard(self, tmp_path):
         bundle = ResultBundle(

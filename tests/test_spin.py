@@ -6,7 +6,7 @@ from scipy import constants
 
 from floquetdd.bath import AtomGeometry, omega_dd
 from floquetdd.dipole import CouplingCoefficients, build_hdp2
-from floquetdd.floquet import DriveParams, dressed_states
+from floquetdd.floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, dressed_states
 from floquetdd.lindblad import coarse_grained_coefficients
 from floquetdd.spin import JTensor, build_spin_hamiltonian, j_tensor, pair_geometries_from_positions
 from oracles import dressed_bare_equivalence
@@ -37,9 +37,17 @@ class TestJTensorClosedForms:
         assert jt.j_xz == pytest.approx(W / 16, rel=1e-14)
 
     def test_matrix_pattern(self):
-        m = j_tensor(1.0, W).matrix()
-        assert m[0, 1] == m[1, 0] == m[1, 2] == m[2, 1] == 0.0
-        assert m[0, 2] == m[2, 0]
+        # Pauli components c_ab = tr(H sigma_a sigma_b) / 4 of the pair
+        # Hamiltonian: only xx, yy, zz and xz = zx, as the tensor lists them.
+        drive = DriveParams(omega=1e10, rabi=3e9, omega_eg=0.8e10)
+        geometry = AtomGeometry(separation=40e-6, dipole_mag=1000 * E_A0, theta_d=np.pi / 2)
+        ham = build_spin_hamiltonian(2, {(0, 1): geometry}, drive)
+        jt = j_tensor(dressed_states(drive).theta_m, omega_dd(drive.omega, geometry))
+        paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+        c = np.array([[np.trace(ham @ np.kron(a, b)).real / 4 for b in paulis] for a in paulis])
+        expected = [[jt.j_xx, 0.0, jt.j_xz], [0.0, jt.j_yy, 0.0], [jt.j_xz, 0.0, jt.j_zz]]
+        np.testing.assert_allclose(c, expected, rtol=0.0, atol=1e-12 * abs(jt.j_xx))
+        assert jt.j_xz != 0.0
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
