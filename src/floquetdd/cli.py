@@ -58,7 +58,7 @@ def _bundle(scenario: Scenario, task: str, outputs: dict) -> ResultBundle:
     )
 
 
-def _run_floquet(scenario: Scenario, outdir, threads: int) -> None:
+def _run_floquet(scenario: Scenario, outdir) -> None:
     sol = _solve(scenario)
     emit_csv(
         Table(
@@ -93,7 +93,7 @@ def _run_floquet(scenario: Scenario, outdir, threads: int) -> None:
     print(f"quasienergies: mu_plus={sol.mu_plus:.9e}  mu_minus={sol.mu_minus:.9e}")
 
 
-def _run_coefficients(scenario: Scenario, outdir, threads: int) -> None:
+def _run_coefficients(scenario: Scenario, outdir) -> None:
     coeff = _coefficients(scenario)
     rows = tuple(
         (int(m), float(coeff.breakdown_pp[i]), float(coeff.breakdown_pm[i]))
@@ -114,7 +114,7 @@ def _run_coefficients(scenario: Scenario, outdir, threads: int) -> None:
     print(f"coefficients: c_pp={coeff.c_pp:.9e}  c_pm={coeff.c_pm:.9e}")
 
 
-def _run_channels(scenario: Scenario, outdir, threads: int) -> None:
+def _run_channels(scenario: Scenario, outdir) -> None:
     sol = _solve(scenario)
     channels = build_channels(matrix_elements(sol), sol, scenario.geometry, scenario.bath)
     emit_csv(
@@ -167,7 +167,7 @@ def _initial_state(label: str, model: str) -> np.ndarray:
     return rho
 
 
-def _run_evolve(scenario: Scenario, outdir, threads: int) -> None:
+def _run_evolve(scenario: Scenario, outdir) -> None:
     params = task_params(
         scenario,
         {
@@ -211,7 +211,7 @@ def _run_evolve(scenario: Scenario, outdir, threads: int) -> None:
     print(f"evolved {model_name} to t={params['t_final']:.3e} s; final populations:", pops[-1])
 
 
-def _run_steady(scenario: Scenario, outdir, threads: int) -> None:
+def _run_steady(scenario: Scenario, outdir) -> None:
     params = task_params(scenario, {"model": (True, _model_name)}, "steady")
     rho = steady_state(_model(scenario, params["model"]))
     rows = tuple(
@@ -225,7 +225,7 @@ def _run_steady(scenario: Scenario, outdir, threads: int) -> None:
     print("steady-state populations:", np.real(np.diag(rho)))
 
 
-def _run_spinmodel(scenario: Scenario, outdir, threads: int) -> None:
+def _run_spinmodel(scenario: Scenario, outdir) -> None:
     params = task_params(
         scenario,
         {
@@ -347,7 +347,7 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
     print(f"taumap: {params['n_rabi']}x{params['n_omega_eg']} cells, {outputs['n_diverged']} flagged")
 
 
-def _run_compare(scenario: Scenario, outdir, threads: int) -> None:
+def _run_compare(scenario: Scenario, outdir) -> None:
     params = task_params(
         scenario,
         {"horizon": (True, number), "initial_state": (False, str)},
@@ -408,7 +408,7 @@ def _run_compare(scenario: Scenario, outdir, threads: int) -> None:
     print(f"max dressed-population deviation: {comparison.max_deviation:.6e}")
 
 
-def _run_reproduce_paper(scenario: Scenario, outdir, threads: int) -> None:
+def _run_reproduce_paper(scenario: Scenario, outdir) -> None:
     """Quantitative endpoints: interaction energy, J ratios, coefficient check.
 
     The J tensor and the closed-form coefficients take the interaction
@@ -488,6 +488,13 @@ _RUNNERS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """--threads: a positive integer."""
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="floquetdd", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -495,20 +502,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="path to the JSON scenario")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for scans")
+        if name == "taumap":
+            p.add_argument(
+                "--threads", type=_positive_int, default=1, help="worker threads for the map scan"
+            )
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.threads < 1:
-            raise ScenarioError("--threads must be positive")
+        options = {"threads": args.threads} if args.subcommand == "taumap" else {}
         scenario = load_scenario(args.scenario)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        _RUNNERS[args.subcommand](scenario, outdir, args.threads)
+        _RUNNERS[args.subcommand](scenario, outdir, **options)
         print(
             f"{args.subcommand} finished in {time.perf_counter() - started:.2f} s",
             file=sys.stderr,

@@ -84,6 +84,12 @@ class DriveParams:
         return 2.0 * np.pi / self.omega
 
 
+def check_n_samples(n_samples: int) -> None:
+    """Refuse a per-period sample count that is not a power of two, at least 64."""
+    if n_samples < 64 or (n_samples & (n_samples - 1)) != 0:
+        raise ValueError("n_samples must be a power of two, at least 64")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling of one drive period.
@@ -97,9 +103,7 @@ class TimeGrid:
     period: float
 
     def __post_init__(self):
-        n = self.n_samples
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError("n_samples must be a power of two, at least 64")
+        check_n_samples(self.n_samples)
         if not (np.isfinite(self.period) and self.period > 0.0):
             raise ValueError("period must be positive and finite")
 
@@ -188,6 +192,16 @@ def _su2_exponentials(px: np.ndarray, pz: np.ndarray) -> tuple[np.ndarray, np.nd
 def _su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
     """The SU(2) pair of U1 @ U2, elementwise over broadcast pairs."""
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _su2_eigenphase(a, b) -> np.ndarray:
+    """Eigenphase in [0, pi] of the SU(2) pair (a, b): U has eigenvalues exp(+-i phase).
+
+    The eigenvalues are Re a +- i sqrt(Im(a)^2 + |b|^2), so arctan2 of that
+    pair keeps full relative precision everywhere, also at the phases 0 and
+    pi, where arccos(Re a) loses half the digits.
+    """
+    return np.arctan2(np.sqrt(np.imag(a) ** 2 + np.abs(b) ** 2), np.real(a))
 
 
 def _cf4_steps(rabi, omega_eg, omega: float, dt: float, t0) -> tuple[np.ndarray, np.ndarray]:
@@ -341,10 +355,12 @@ def quasienergy_magnitude_map(
     """|mu_+| and cos(mu_+ T) on a (rabi, omega_eg) parameter grid.
 
     Vectorized over all grid cells at once: the monodromy of the traceless
-    2x2 problem lies in SU(2), so |mu_+| = arccos(Re tr U / 2) / T without
-    any eigendecomposition or branch labelling.  Returns two arrays of shape
-    ``(len(rabi_values), len(omega_eg_values))``: the folded quasienergy
-    magnitude and the monodromy half-trace (useful for crossing detection).
+    2x2 problem lies in SU(2), so |mu_+| is its eigenphase over T, taken by
+    :func:`_su2_eigenphase` without any eigendecomposition or branch
+    labelling.  ``n_samples`` obeys the rule of :class:`TimeGrid`.  Returns
+    two arrays of shape ``(len(rabi_values), len(omega_eg_values))``: the
+    folded quasienergy magnitude and the monodromy half-trace Re alpha =
+    cos(mu_+ T), whose sign changes mark the quarter-zone stripe.
     """
     if omega <= 0.0 or not np.isfinite(omega):
         raise ValueError("omega must be positive and finite")
@@ -352,8 +368,8 @@ def quasienergy_magnitude_map(
     omega_eg = np.asarray(omega_eg_values, dtype=float)
     if rabi.ndim != 1 or omega_eg.ndim != 1 or rabi.size == 0 or omega_eg.size == 0:
         raise ValueError("rabi_values and omega_eg_values must be non-empty 1-d arrays")
-    period = 2.0 * np.pi / omega
-    dt = period / n_samples
+    grid = TimeGrid(n_samples, 2.0 * np.pi / omega)
+    dt = grid.period / grid.n_samples
 
     rr = rabi[:, None]
     ee = omega_eg[None, :]
@@ -362,7 +378,4 @@ def quasienergy_magnitude_map(
     for k in range(n_samples):
         a, b = _su2_product(*_cf4_steps(rr, ee, omega, dt, k * dt), a, b)
 
-    # tr U = alpha + conj(alpha) for an SU(2) pair.
-    half_trace = np.clip(np.real(a), -1.0, 1.0)
-    mu_abs = np.arccos(half_trace) / period
-    return mu_abs, half_trace
+    return _su2_eigenphase(a, b) / grid.period, np.real(a)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bath import E_A0, AtomGeometry, BathParams
 from .errors import ScenarioError
-from .floquet import DriveParams
+from .floquet import DriveParams, check_n_samples
 
 _TOP_KEYS = {"drive", "geometry", "bath", "numerics", "task"}
 _DRIVE_KEYS = {"omega", "rabi", "omega_eg", "detuning", "frequency_convention"}
@@ -37,8 +37,10 @@ class Numerics:
     n_samples: int = 1024
 
     def __post_init__(self):
-        if self.n_samples < 64 or (self.n_samples & (self.n_samples - 1)) != 0:
-            raise ScenarioError("numerics.n_samples must be a power of two, at least 64")
+        try:
+            check_n_samples(self.n_samples)
+        except ValueError as err:
+            raise ScenarioError(f"numerics.{err}") from err
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from .floquet import (
     quasienergy_magnitude_map,
 )
 
+# A quasienergy spacing below this fraction of omega counts as a collision:
+# tau_mu diverges there.
 _DIVERGENCE_TOL = 1e-12
 
 # "Much smaller than" in the time-scale hierarchy: one order of magnitude, so that
@@ -56,6 +58,11 @@ def _min_spacing(omega: float, mu_abs):
     return np.minimum(np.minimum(omega - 2.0 * mu_abs, 2.0 * mu_abs), np.abs(omega - 4.0 * mu_abs))
 
 
+def _below_floor(spacing, omega: float):
+    """Whether a spacing lies below the divergence floor _DIVERGENCE_TOL * omega (elementwise)."""
+    return spacing < _DIVERGENCE_TOL * omega
+
+
 def tau_mu(drive: DriveParams, sol: FloquetSolution) -> float:
     """Inverse minimal quasienergy-spacing scale (seconds, possibly inf).
 
@@ -73,7 +80,7 @@ def tau_mu(drive: DriveParams, sol: FloquetSolution) -> float:
     if 2.0 * mu_abs >= omega:
         raise ValueError("zone condition violated: 2|mu_+| must stay below omega")
     inv = float(_min_spacing(omega, mu_abs))
-    if inv < _DIVERGENCE_TOL * omega:
+    if _below_floor(inv, omega):
         return np.inf
     return 1.0 / inv
 
@@ -82,10 +89,11 @@ def tau_mu(drive: DriveParams, sol: FloquetSolution) -> float:
 class TauMap:
     """tau_mu^-1 scan over a (rabi, omega_eg) grid at fixed drive frequency.
 
-    ``tau_inv_over_omega`` is zero on cells flagged divergent; ``diverged``
-    marks both sub-tolerance minima and stripe crossings (sign changes of
-    the quarter-zone argument, tangencies of the zone edge/center) between
-    neighboring cells.
+    ``tau_inv_over_omega`` is zero on the cells whose minimal spacing lies
+    below the divergence floor of :func:`tau_mu` (tau_mu = inf there).
+    ``diverged`` marks those cells and the cells next to a stripe crossing,
+    a sign change of cos(|mu_+| T) between neighbors (the quarter-zone
+    locus |mu_+| = omega/4); crossing cells keep their value.
     """
 
     omega: float
@@ -106,16 +114,13 @@ class TauMap:
                 )
 
 
-def _stripe_flags(half_trace: np.ndarray, tau_inv: np.ndarray, omega: float) -> np.ndarray:
-    """Divergence flags: threshold hits plus crossings of the stripe loci.
+def _stripe_crossings(half_trace: np.ndarray) -> np.ndarray:
+    """Cells next to a sign change of cos(|mu_+| T), the quarter-zone stripe.
 
-    cos(|mu_+| T) = 0 is exactly the quarter-zone stripe; +-1 tangencies
-    are the zone-center/edge collisions.  Sign changes are attributed to
-    both neighboring cells, which keeps the flagged set connected along
-    smooth stripe curves.
+    Sign changes are attributed to both neighboring cells, which keeps the
+    flagged set connected along smooth stripe curves.
     """
-    flags = tau_inv < _DIVERGENCE_TOL * omega
-    flags = flags | (np.abs(half_trace) >= 1.0 - _DIVERGENCE_TOL)
+    flags = np.zeros(half_trace.shape, dtype=bool)
     sign = np.sign(half_trace)
     cross_rows = sign[:, 1:] * sign[:, :-1] < 0
     flags[:, 1:] |= cross_rows
@@ -137,7 +142,9 @@ def scan_tau_map(
 
     Each cell is an independent monodromy computation; rows are chunked
     across a thread pool when ``threads`` > 1 (results are identical for
-    any thread count).
+    any thread count).  A cell is ``diverged`` when its minimal spacing
+    lies below the floor of :func:`tau_mu`, where its tau_mu^-1 is 0, or
+    when it borders a stripe crossing, where its value is kept.
     """
     rabi = np.asarray(rabi_values, dtype=float)
     omega_eg = np.asarray(omega_eg_values, dtype=float)
@@ -165,14 +172,13 @@ def scan_tau_map(
         half_trace = np.concatenate([p[1] for p in parts], axis=0)
 
     tau_inv = _min_spacing(omega, mu_abs)
-    flags = _stripe_flags(half_trace, tau_inv, omega)
-    tau_inv_over_omega = np.where(tau_inv < _DIVERGENCE_TOL * omega, 0.0, tau_inv / omega)
+    below = _below_floor(tau_inv, omega)
     return TauMap(
         omega=omega,
         rabi_values=rabi,
         omega_eg_values=omega_eg,
-        tau_inv_over_omega=tau_inv_over_omega,
-        diverged=flags.astype(int),
+        tau_inv_over_omega=np.where(below, 0.0, tau_inv / omega),
+        diverged=(below | _stripe_crossings(half_trace)).astype(int),
     )
 
 

@@ -188,6 +188,14 @@ class TestErrorPaths:
         assert main(["not-a-command"]) == 1
         scenario = write_scenario(tmp_path)
         assert run("floquet", scenario, tmp_path / "out", "--seed", "7") == 1
+        # --threads belongs to taumap alone
+        assert run("floquet", scenario, tmp_path / "out", "--threads", "2") == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_taumap_threads_must_be_positive(self, tmp_path, capsys, threads):
+        scenario = write_scenario(tmp_path, numerics={"n_samples": 256}, task=taumap_task())
+        assert run("taumap", scenario, tmp_path / "out", "--threads", threads) == 1
+        assert "--threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "subcommand, overrides, key", OUT_OF_RANGE, ids=[f"{s}-{k}" for s, _, k in OUT_OF_RANGE]
@@ -362,6 +370,16 @@ class TestPipelineCommands:
         # row-major: omega_R outer, omega_eg inner
         assert table.rows[0][0] == table.rows[1][0] == table.rows[2][0]
         assert table.rows[0][1] < table.rows[1][1] < table.rows[2][1]
+
+    def test_taumap_threads_same_bytes(self, tmp_path):
+        scenario = write_scenario(
+            tmp_path, numerics={"n_samples": 256}, task=taumap_task(n_rabi=8, n_omega_eg=5)
+        )
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run("taumap", scenario, one, "--threads", "1") == 0
+        assert run("taumap", scenario, two, "--threads", "2") == 0
+        for name in ("taumap.csv", "taumap.json"):
+            assert (one / name).read_bytes() == (two / name).read_bytes()
 
     # 3.1e-5 s: the np.linspace report grid has several distinct spacings
     @pytest.mark.parametrize("horizon", [5e-6, 3.1e-5])

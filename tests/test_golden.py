@@ -1,0 +1,183 @@
+"""Byte-identity sweep of the command line over a fixed set of runs.
+
+Every run calls ``floquetdd.cli.main`` in-process and is reduced to a record:
+the exit code, stdout, the ``error:`` line of stderr (the rest of stderr
+holds wall-clock time) and the SHA-256 of every file written to the output
+directory.  ``tests/golden.json`` holds the expected record of each run and
+the Python, numpy and scipy versions it was made with: libm, pocketfft and
+LAPACK decide the last bits of the outputs, so a manifest made under other
+versions is reported as such instead of as a list of changed hashes.
+
+Rewrite the manifest after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and list every changed hash, with its reason, in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+from floquetdd.cli import main
+
+MANIFEST = Path(__file__).with_name("golden.json")
+
+OMEGA = 1e10
+RYDBERG = {
+    "drive": {"omega": OMEGA, "rabi": 1e8, "omega_eg": 1e10, "frequency_convention": "angular"},
+    "geometry": {"separation": 40e-6, "dipole_ea0": 1000.0, "theta_d": np.pi / 2},
+    "bath": {"temperature": 0.0},
+}
+WARM = {**RYDBERG, "bath": {"temperature": 1.0}}
+# Separation of one drive wavelength (c / omega): the far-field, retarded pair.
+RETARDED = {
+    "drive": {"omega": OMEGA, "rabi": 1e9, "omega_eg": 1.6e10, "frequency_convention": "angular"},
+    "geometry": {"separation": 299792458.0 / OMEGA, "dipole_ea0": 4e8, "theta_d": np.pi / 2},
+    "bath": {"temperature": 0.0},
+}
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+TAUMAP_TASK = {
+    "rabi_over_omega_min": 0.0,
+    "rabi_over_omega_max": 0.5,
+    "n_rabi": 3,
+    "omega_eg_over_omega_min": 0.5,
+    "omega_eg_over_omega_max": 1.5,
+    "n_omega_eg": 3,
+}
+# (run-name suffix, subcommand, task block) of every subcommand.
+TASKS = (
+    ("floquet", "floquet", None),
+    ("coefficients", "coefficients", None),
+    ("channels", "channels", None),
+    ("evolve-fme", "evolve", {"model": "fme", "t_final": 1e-4, "n_times": 51, "initial_state": "pm"}),
+    ("evolve-obe", "evolve", {"model": "obe", "t_final": 1e-4, "n_times": 51, "initial_state": "eg"}),
+    ("steady-fme", "steady", {"model": "fme"}),
+    ("steady-obe", "steady", {"model": "obe"}),
+    ("spinmodel", "spinmodel", None),
+    ("taumap", "taumap", TAUMAP_TASK),
+    ("compare", "compare", {"horizon": 5e-6}),
+    ("reproduce-paper", "reproduce-paper", None),
+)
+
+
+def _with(base, **blocks):
+    """``base`` with the given top-level blocks replaced (a ``None`` block is dropped)."""
+    out = {**base, **blocks}
+    return {key: value for key, value in out.items() if value is not None}
+
+
+def _spin_task(n_atoms):
+    positions = [[1e-5 * k, 0.3e-5 * k * k, 0.0] for k in range(n_atoms)]
+    return {"n_atoms": n_atoms, "positions": positions, "dipole_axis": [0.0, 0.0, 1.0]}
+
+
+def _runs() -> dict:
+    """name -> (subcommand, scenario dict) of every run that reads a scenario."""
+    runs = {}
+    for label, base in (("rydberg", RYDBERG), ("warm", WARM), ("retarded", RETARDED)):
+        for suffix, subcommand, task in TASKS:
+            runs[f"{label}-{suffix}"] = (subcommand, _with(base, task=task))
+    for name in ("taumap_small", "undriven_pair", "rydberg_pair"):
+        scenario = json.loads((SCENARIOS / f"{name}.json").read_text())
+        subcommands = ("taumap",) if name == "taumap_small" else ("floquet", "coefficients", "channels")
+        for sub in subcommands:
+            runs[f"{name}-{sub}"] = (sub, scenario)
+    for n_atoms in (2, 3, 6):
+        runs[f"spinmodel-positions-{n_atoms}"] = ("spinmodel", _with(RYDBERG, task=_spin_task(n_atoms)))
+    undriven_resonant = {**RYDBERG["drive"], "rabi": 0.0}
+    undriven_above = {**undriven_resonant, "omega_eg": 1.6e10}
+    unresolved = {**RYDBERG["drive"], "rabi": 2e11, "omega_eg": 9e9}
+    runs.update(
+        {
+            # exit 1: invalid scenario values
+            "exit1-unknown-key": ("floquet", _with(RYDBERG, drive={**RYDBERG["drive"], "rabbi": 1.0})),
+            "exit1-removed-key": ("floquet", _with(RYDBERG, numerics={"n_samples": 1024, "sideband_cutoff": 16})),
+            "exit1-n-samples": ("floquet", _with(RYDBERG, numerics={"n_samples": 100})),
+            "exit1-n-atoms": ("spinmodel", _with(RYDBERG, task=_spin_task(7))),
+            "exit1-initial-state": ("compare", _with(RYDBERG, task={"horizon": 1e-5, "initial_state": "xx"})),
+            "exit1-taumap-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "rabi_over_omega_min": -0.1})),
+            # exit 2: physics-domain refusals
+            "exit2-degenerate": ("floquet", _with(RYDBERG, drive=undriven_resonant)),
+            "exit2-unresolved-sidebands": ("floquet", _with(RYDBERG, drive=unresolved, numerics={"n_samples": 64})),
+            "exit2-compare-undriven": ("compare", _with(RYDBERG, drive=undriven_resonant, task={"horizon": 1e-5})),
+            "exit2-reproduce-undriven": ("reproduce-paper", _with(RYDBERG, drive=undriven_above)),
+            "exit2-long-evolve": (
+                "evolve",
+                _with(RYDBERG, task={"model": "obe", "t_final": 0.1, "n_times": 3, "initial_state": "gg"}),
+            ),
+        }
+    )
+    return runs
+
+
+RUNS = _runs()
+# Usage errors never reach a scenario: the argv is given whole.
+USAGE = {
+    "exit1-usage-missing-args": ["floquet"],
+    "exit1-usage-unknown-command": ["not-a-command"],
+}
+
+
+def _versions() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _record(name: str, tmp_path: Path) -> dict:
+    out = tmp_path / "out"
+    if name in USAGE:
+        argv = USAGE[name]
+    else:
+        subcommand, scenario = RUNS[name]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv = [subcommand, "--scenario", str(path), "--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    files = sorted(out.iterdir()) if out.is_dir() else []
+    return {
+        "exit": code,
+        "stdout": stdout.getvalue(),
+        "error": "\n".join(errors).replace(str(tmp_path), "<tmp>") or None,
+        "files": {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files},
+    }
+
+
+def _manifest() -> dict:
+    return json.loads(MANIFEST.read_text())
+
+
+def test_manifest_names_every_run():
+    assert sorted(_manifest()["runs"]) == sorted([*RUNS, *USAGE])
+
+
+@pytest.mark.parametrize("name", [*RUNS, *USAGE])
+def test_golden(name, tmp_path):
+    manifest = _manifest()
+    assert manifest["versions"] == _versions(), (
+        f"tests/golden.json was made with {manifest['versions']}, this run uses {_versions()}; "
+        "the last bits of the outputs depend on them, so rewrite the manifest for these versions"
+    )
+    assert _record(name, tmp_path) == manifest["runs"][name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    records = {}
+    for name in [*RUNS, *USAGE]:
+        with tempfile.TemporaryDirectory() as tmp:
+            records[name] = _record(name, Path(tmp))
+    MANIFEST.write_text(json.dumps({"versions": _versions(), "runs": records}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(records)} runs to {MANIFEST}", file=sys.stderr)

@@ -3,7 +3,14 @@ import pytest
 from scipy import constants
 
 from floquetdd.bath import AtomGeometry, BathParams
-from floquetdd.floquet import DriveParams, FloquetSolution, TimeGrid, dressed_states, floquet_solve
+from floquetdd.floquet import (
+    DriveParams,
+    FloquetSolution,
+    TimeGrid,
+    dressed_states,
+    floquet_solve,
+    quasienergy_magnitude_map,
+)
 from floquetdd.validity import HIERARCHY_MARGIN, scan_tau_map, tau_mu, timescale_report
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
@@ -119,6 +126,32 @@ class TestScanTauMap:
         assert rows[0][0] == 1e8 and rows[0][1] == 5e9
         assert rows[1][0] == 1e8 and rows[1][1] == 6e9
         assert rows[3][0] == 2e8 and rows[3][1] == 5e9
+
+    # The undriven atom at the zone edge, omega_eg = omega (1 - eps), and the
+    # zone centre, omega_eg = 2 omega (1 - eps): the exact minimal spacing is
+    # omega - omega_eg and 2 omega - omega_eg.  Re alpha lies within
+    # (pi eps)^2 / 2 of -1 or +1 there, where arccos(Re alpha) kept only half
+    # the digits and reported spacings off by up to 1.2e-7 omega.
+    @pytest.mark.parametrize("n_samples", [256, 512, 1024])
+    @pytest.mark.parametrize("zone_omegas", [1.0, 2.0], ids=["edge", "centre"])
+    def test_zone_edge_and_centre_resolved(self, n_samples, zone_omegas):
+        eps = np.array([1e-11, 1e-10, 1e-9, 1e-8, 3e-8, 1e-7, 1e-5])
+        omega_eg = zone_omegas * OMEGA * (1.0 - eps)
+        tmap = scan_tau_map([0.0], omega_eg, OMEGA, n_samples=n_samples)
+        values = tmap.tau_inv_over_omega[0]
+        exact = (zone_omegas * OMEGA - omega_eg) / OMEGA
+        assert np.max(np.abs(values - exact)) <= 1e-14
+        assert not tmap.diverged.any()
+        for value, w_eg in zip(values, omega_eg):
+            sol, drive = solve(0.0, w_eg, n=n_samples)
+            assert abs(value - 1.0 / tau_mu(drive, sol) / OMEGA) <= 1e-14
+
+    @pytest.mark.parametrize("n_samples", [0, -4, 63, 100])
+    def test_sample_count_refused(self, n_samples):
+        with pytest.raises(ValueError, match="power of two"):
+            quasienergy_magnitude_map([0.1 * OMEGA], [OMEGA], OMEGA, n_samples)
+        with pytest.raises(ValueError, match="power of two"):
+            scan_tau_map([0.1 * OMEGA], [OMEGA], OMEGA, n_samples=n_samples)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
