@@ -60,13 +60,11 @@ def _bundle(scenario: Scenario, task: str, outputs: dict) -> ResultBundle:
 
 def _run_floquet(scenario: Scenario, outdir) -> None:
     sol = _solve(scenario)
+    mus = np.array([sol.mu_plus, sol.mu_minus])
     emit_csv(
         Table(
             columns=("branch", "quasienergy_rad_per_s", "quasienergy_over_omega"),
-            rows=(
-                ("plus", sol.mu_plus, sol.mu_plus / scenario.drive.omega),
-                ("minus", sol.mu_minus, sol.mu_minus / scenario.drive.omega),
-            ),
+            data=(("plus", "minus"), mus, mus / scenario.drive.omega),
         ),
         outdir / "quasienergies.csv",
     )
@@ -75,10 +73,7 @@ def _run_floquet(scenario: Scenario, outdir) -> None:
     emit_csv(
         Table(
             columns=("n", "weight_plus", "weight_minus"),
-            rows=tuple(
-                (int(n), float(weights_p[i]), float(weights_m[i]))
-                for i, n in enumerate(range(-sol.truncation, sol.truncation + 1))
-            ),
+            data=(np.arange(-sol.truncation, sol.truncation + 1), weights_p, weights_m),
         ),
         outdir / "sidebands.csv",
     )
@@ -95,12 +90,11 @@ def _run_floquet(scenario: Scenario, outdir) -> None:
 
 def _run_coefficients(scenario: Scenario, outdir) -> None:
     coeff = _coefficients(scenario)
-    rows = tuple(
-        (int(m), float(coeff.breakdown_pp[i]), float(coeff.breakdown_pm[i]))
-        for i, m in enumerate(coeff.m_values)
-    )
     emit_csv(
-        Table(columns=("m", "c_pp_contribution", "c_pm_contribution"), rows=rows),
+        Table(
+            columns=("m", "c_pp_contribution", "c_pm_contribution"),
+            data=(coeff.m_values, coeff.breakdown_pp, coeff.breakdown_pm),
+        ),
         outdir / "coefficients.csv",
     )
     outputs = {
@@ -120,10 +114,7 @@ def _run_channels(scenario: Scenario, outdir) -> None:
     emit_csv(
         Table(
             columns=("channel", "label", "rate_rad_per_s"),
-            rows=tuple(
-                (k + 1, channels.labels[k], float(channels.rates[k]))
-                for k in range(6)
-            ),
+            data=(np.arange(1, 7), channels.labels, channels.rates),
         ),
         outdir / "channels.csv",
     )
@@ -193,12 +184,7 @@ def _run_evolve(scenario: Scenario, outdir) -> None:
     emit_csv(
         Table(
             columns=("time_s",) + tuple(f"pop_{b}" for b in basis) + ("trace",),
-            rows=tuple(
-                (float(times[i]),)
-                + tuple(float(p) for p in pops[i])
-                + (float(np.trace(traj[i]).real),)
-                for i in range(times.size)
-            ),
+            data=(times, *pops.T, np.trace(traj, axis1=1, axis2=2).real),
         ),
         outdir / "trajectory.csv",
     )
@@ -214,12 +200,13 @@ def _run_evolve(scenario: Scenario, outdir) -> None:
 def _run_steady(scenario: Scenario, outdir) -> None:
     params = task_params(scenario, {"model": (True, _model_name)}, "steady")
     rho = steady_state(_model(scenario, params["model"]))
-    rows = tuple(
-        (i, j, float(rho[i, j].real), float(rho[i, j].imag))
-        for i in range(rho.shape[0])
-        for j in range(rho.shape[1])
+    emit_csv(
+        Table(
+            columns=("row", "col", "real", "imag"),
+            data=(*np.divmod(np.arange(rho.size), rho.shape[1]), rho.real.ravel(), rho.imag.ravel()),
+        ),
+        outdir / "steady_state.csv",
     )
-    emit_csv(Table(columns=("row", "col", "real", "imag"), rows=rows), outdir / "steady_state.csv")
     outputs = {"model": params["model"], "steady_state": matrix_to_json(rho)}
     emit_json(_bundle(scenario, "steady", outputs), outdir / "steady.json")
     print("steady-state populations:", np.real(np.diag(rho)))
@@ -266,23 +253,14 @@ def _run_spinmodel(scenario: Scenario, outdir) -> None:
     emit_csv(
         Table(
             columns=("component", "value_rad_per_s"),
-            rows=(
-                ("j_xx", jt.j_xx),
-                ("j_yy", jt.j_yy),
-                ("j_zz", jt.j_zz),
-                ("j_xz", jt.j_xz),
-            ),
+            data=(("j_xx", "j_yy", "j_zz", "j_xz"), (jt.j_xx, jt.j_yy, jt.j_zz, jt.j_xz)),
         ),
         outdir / "jtensor.csv",
     )
     emit_csv(
         Table(
             columns=("row", "col", "value_rad_per_s"),
-            rows=tuple(
-                (i, j, float(ham[i, j]))
-                for i in range(ham.shape[0])
-                for j in range(ham.shape[1])
-            ),
+            data=(*np.divmod(np.arange(ham.size), ham.shape[1]), ham.ravel()),
         ),
         outdir / "spin_hamiltonian.csv",
     )
@@ -333,7 +311,12 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
     emit_csv(
         Table(
             columns=("omega_R", "omega_eg", "tau_mu_inv_over_omega", "diverged"),
-            rows=tuple(tau_map.rows()),
+            data=(
+                np.repeat(rabi, omega_eg.size),
+                np.tile(omega_eg, rabi.size),
+                tau_map.tau_inv_over_omega.ravel(),
+                tau_map.diverged.ravel(),
+            ),
         ),
         outdir / "taumap.csv",
     )
@@ -374,26 +357,20 @@ def _run_compare(scenario: Scenario, outdir) -> None:
             columns=("time_s",)
             + tuple(f"fme_{b}" for b in basis)
             + tuple(f"obe_{b}" for b in basis),
-            rows=tuple(
-                (float(comparison.times[i]),)
-                + tuple(float(p) for p in comparison.pop_fme[i])
-                + tuple(float(p) for p in comparison.pop_obe[i])
-                for i in range(comparison.times.size)
-            ),
+            data=(comparison.times, *comparison.pop_fme.T, *comparison.pop_obe.T),
         ),
         outdir / "compare_raw.csv",
     )
-    interior_times = comparison.times[comparison.interior]
+    interior = comparison.interior
     emit_csv(
         Table(
             columns=("time_s",)
             + tuple(f"fme_{b}" for b in basis)
             + tuple(f"obe_smoothed_{b}" for b in basis),
-            rows=tuple(
-                (float(interior_times[i]),)
-                + tuple(float(p) for p in comparison.pop_fme[comparison.interior][i])
-                + tuple(float(p) for p in comparison.pop_obe_smoothed[i])
-                for i in range(interior_times.size)
+            data=(
+                comparison.times[interior],
+                *comparison.pop_fme[interior].T,
+                *comparison.pop_obe_smoothed.T,
             ),
         ),
         outdir / "compare_populations.csv",
@@ -446,28 +423,31 @@ def _run_reproduce_paper(scenario: Scenario, outdir) -> None:
 
     report = timescale_report(drive, geometry, scenario.bath, n_samples=scenario.numerics.n_samples)
 
-    rows = (
-        ("omega_dd_angular_reading", om_angular),
-        ("omega_dd_ordinary_reading", om_ordinary),
-        ("j_xx", jt.j_xx),
-        ("j_yy", jt.j_yy),
-        ("j_zz", jt.j_zz),
-        ("j_xz", jt.j_xz),
-        ("j_xx_over_j_yy", jt.j_xx / jt.j_yy),
-        ("j_xx_over_j_zz", jt.j_xx / jt.j_zz),
-        ("c_pp_numeric", coeff.c_pp),
-        ("c_pm_numeric", coeff.c_pm),
-        ("c_pp_closed_form", cg_pp),
-        ("c_pm_closed_form", cg_pm),
-        ("c_pp_rel_dev", rel_pp),
-        ("c_pm_rel_dev", rel_pm),
-        ("tau_omega_s", report.tau_omega),
-        ("tau_mu_s", report.tau_mu),
-        ("tau_omega_gen_s", report.tau_omega_gen),
-        ("tau_s_s", report.tau_s),
+    endpoints = {
+        "omega_dd_angular_reading": om_angular,
+        "omega_dd_ordinary_reading": om_ordinary,
+        "j_xx": jt.j_xx,
+        "j_yy": jt.j_yy,
+        "j_zz": jt.j_zz,
+        "j_xz": jt.j_xz,
+        "j_xx_over_j_yy": jt.j_xx / jt.j_yy,
+        "j_xx_over_j_zz": jt.j_xx / jt.j_zz,
+        "c_pp_numeric": coeff.c_pp,
+        "c_pm_numeric": coeff.c_pm,
+        "c_pp_closed_form": cg_pp,
+        "c_pm_closed_form": cg_pm,
+        "c_pp_rel_dev": rel_pp,
+        "c_pm_rel_dev": rel_pm,
+        "tau_omega_s": report.tau_omega,
+        "tau_mu_s": report.tau_mu,
+        "tau_omega_gen_s": report.tau_omega_gen,
+        "tau_s_s": report.tau_s,
+    }
+    emit_csv(
+        Table(columns=("quantity", "value"), data=(tuple(endpoints), tuple(endpoints.values()))),
+        outdir / "paper_endpoints.csv",
     )
-    emit_csv(Table(columns=("quantity", "value"), rows=rows), outdir / "paper_endpoints.csv")
-    outputs = {name: float(value) for name, value in rows}
+    outputs = {name: float(value) for name, value in endpoints.items()}
     outputs["hierarchy_ok"] = bool(report.hierarchy_ok)
     emit_json(_bundle(scenario, "reproduce-paper", outputs), outdir / "paper_endpoints.json")
     print(f"omega_dd (angular reading): {om_angular:.6e} rad/s")

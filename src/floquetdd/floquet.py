@@ -368,6 +368,8 @@ def quasienergy_magnitude_map(
     omega_eg = np.asarray(omega_eg_values, dtype=float)
     if rabi.ndim != 1 or omega_eg.ndim != 1 or rabi.size == 0 or omega_eg.size == 0:
         raise ValueError("rabi_values and omega_eg_values must be non-empty 1-d arrays")
+    if not (np.all(np.isfinite(rabi)) and np.all(np.isfinite(omega_eg))):
+        raise ValueError("rabi_values and omega_eg_values must be finite")
     grid = TimeGrid(n_samples, 2.0 * np.pi / omega)
     dt = grid.period / grid.n_samples
 

@@ -1,11 +1,17 @@
 """Deterministic CSV/JSON emission.
 
-CSV files use a header row, LF line endings, '.' decimal separator and
-scientific notation with 17 significant digits (the shortest lossless
-round-trip for doubles).  JSON bundles carry a schema-version field and
-serialize matrices row-major with explicit dimensions.  Identical inputs
-produce byte-identical files; wall-clock timing therefore never enters a
-bundle and is reported on stderr by the command line layer instead.
+CSV files use a header row, LF line endings and a '.' decimal separator.
+A :class:`Table` is a set of named columns, and each column's dtype
+decides the text of all its cells at once: float columns must be finite
+everywhere and print in scientific notation with 17 significant digits
+(``%.16e``, the shortest lossless round-trip for doubles), integer and
+boolean columns print as ``%d``, string columns verbatim (a cell holding
+',' or a newline is refused), and any other dtype is a ``TypeError``.
+The rows are then written one line at a time.  JSON bundles carry a
+schema-version field and serialize matrices row-major with explicit
+dimensions.  Identical inputs produce byte-identical files; wall-clock
+timing therefore never enters a bundle and is reported on stderr by the
+command line layer instead.
 """
 
 from __future__ import annotations
@@ -20,43 +26,57 @@ SCHEMA_VERSION = "1"
 
 @dataclass(frozen=True)
 class Table:
-    """Column-named rows destined for one CSV file."""
+    """Named columns destined for one CSV file: ``data`` holds one sequence per name."""
 
     columns: tuple
-    rows: tuple
+    data: tuple
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row length does not match column count")
+        if len(self.data) != len(self.columns):
+            raise ValueError("every column needs exactly one name")
+        if len({len(column) for column in self.data}) > 1:
+            raise ValueError("columns differ in length")
+
+    @property
+    def rows(self) -> tuple:
+        """The cells row by row."""
+        return tuple(zip(*self.data))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not np.isfinite(value):
+def _cell_format(column: np.ndarray) -> str:
+    """The %-format of every cell of one column, decided by its dtype."""
+    kind = column.dtype.kind
+    if kind == "f":
+        if not np.all(np.isfinite(column)):
             raise RuntimeError(
                 "internal error: non-finite value reached CSV emission "
                 "(divergences must use the flag-column convention)"
             )
-        return f"{value:.16e}"
-    if isinstance(value, str):
-        if "," in value or "\n" in value:
+        return "%.16e"
+    if kind in "biu":
+        return "%d"
+    if kind == "U":
+        if any("," in cell or "\n" in cell for cell in column):
             raise ValueError("string cells must not contain separators")
-        return value
-    raise TypeError(f"unsupported cell type {type(value)!r}")
+        return "%s"
+    raise TypeError(f"unsupported column dtype {column.dtype}")
 
 
 def emit_csv(table: Table, path) -> None:
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
+    columns = [np.asarray(column) for column in table.data]
+    line = ",".join(_cell_format(column) for column in columns) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(table.columns) + "\n")
+        fh.writelines(line % row for row in zip(*columns))
+
+
+def _parse_cell(cell: str):
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except ValueError:
+            pass
+    return cell
 
 
 def read_csv(path) -> Table:
@@ -66,19 +86,10 @@ def read_csv(path) -> Table:
     if not lines:
         raise ValueError("empty CSV file")
     columns = tuple(lines[0].split(","))
-    rows = []
-    for line in lines[1:]:
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(int(cell))
-            except ValueError:
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    cells.append(cell)
-        rows.append(tuple(cells))
-    return Table(columns=columns, rows=tuple(rows))
+    rows = [tuple(_parse_cell(cell) for cell in line.split(",")) for line in lines[1:]]
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError("row length does not match column count")
+    return Table(columns=columns, data=tuple(zip(*rows)) if rows else ((),) * len(columns))
 
 
 def matrix_to_json(matrix: np.ndarray) -> dict:

@@ -115,14 +115,18 @@ def build_spin_hamiltonian(
     theta = dressed_states(drive).theta_m
 
     dim = 2**n_atoms
+    site_ops = [
+        [_site_op(p, site, n_atoms) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        for site in range(n_atoms)
+    ]
     h = np.zeros((dim, dim), dtype=complex)
     for i in range(n_atoms):
         for j in range(i + 1, n_atoms):
             if (i, j) not in pair_geometries:
                 raise ValueError(f"missing geometry for pair {(i, j)}")
             jt = j_tensor(theta, omega_dd(freq, pair_geometries[(i, j)]))
-            xi, yi, zi = (_site_op(p, i, n_atoms) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-            xj, yj, zj = (_site_op(p, j, n_atoms) for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+            xi, yi, zi = site_ops[i]
+            xj, yj, zj = site_ops[j]
             h += jt.j_xx * (xi @ xj) + jt.j_yy * (yi @ yj) + jt.j_zz * (zi @ zj)
             h += jt.j_xz * (xi @ zj + zi @ xj)
     imag_leak = float(np.max(np.abs(h.imag)))

@@ -102,17 +102,6 @@ class TauMap:
     tau_inv_over_omega: np.ndarray
     diverged: np.ndarray
 
-    def rows(self):
-        """Row-major (rabi outer, omega_eg inner) CSV rows."""
-        for i, rabi in enumerate(self.rabi_values):
-            for j, w_eg in enumerate(self.omega_eg_values):
-                yield (
-                    float(rabi),
-                    float(w_eg),
-                    float(self.tau_inv_over_omega[i, j]),
-                    int(self.diverged[i, j]),
-                )
-
 
 def _stripe_crossings(half_trace: np.ndarray) -> np.ndarray:
     """Cells next to a sign change of cos(|mu_+| T), the quarter-zone stripe.

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from floquetdd.cli import main
 from floquetdd.io import read_csv
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
+REPO = Path(__file__).resolve().parents[1]
 
 
 DRIVE = {"omega": 1e10, "rabi": 1e8, "omega_eg": 1e10, "frequency_convention": "angular"}
@@ -265,6 +269,18 @@ class TestPipelineCommands:
         table = read_csv(out / "channels.csv")
         assert len(table.rows) == 6
         assert all(row[2] >= 0.0 for row in table.rows)
+
+    def test_channels_under_the_benchmark_tracer(self, tmp_path, monkeypatch):
+        # The benchmark's trace mode counts emitted CSV rows through Table.rows.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", REPO / "perfbench" / "tracer.py"
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracer)  # dataclasses look it up
+        spec.loader.exec_module(tracer)
+        with tracer.Tracer() as traced:
+            assert run("channels", REPO / "scenarios" / "rydberg_pair.json", tmp_path / "out") == 0
+        assert traced.counts["io.emit_csv.rows"] == 6
 
     def test_evolve_trajectory(self, tmp_path):
         scenario = write_scenario(

@@ -168,41 +168,68 @@ class TestScenarioParsing:
 class TestCsvEmission:
     def test_empty_table_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(Table(columns=("a", "b"), rows=()), path)
+        emit_csv(Table(columns=("a", "b"), data=((), ())), path)
         assert path.read_text() == "a,b\n"
 
     def test_round_trip_is_string_exact(self, tmp_path):
         path = tmp_path / "t.csv"
         table = Table(
             columns=("name", "count", "value"),
-            rows=(("x", 3, 1.0 / 3.0), ("y", -2, 6.02214076e23)),
+            data=(("x", "y"), (3, -2), (1.0 / 3.0, 6.02214076e23)),
         )
         emit_csv(table, path)
         first = path.read_text()
-        emit_csv(read_csv(path), path)
+        back = read_csv(path)
+        assert back.rows == (("x", 3, 1.0 / 3.0), ("y", -2, 6.02214076e23))
+        emit_csv(back, path)
         assert path.read_text() == first
 
     def test_scientific_17_digits(self, tmp_path):
         path = tmp_path / "v.csv"
-        emit_csv(Table(columns=("v",), rows=((np.pi,),)), path)
+        emit_csv(Table(columns=("v",), data=((np.pi,),)), path)
         assert path.read_text().splitlines()[1] == "3.1415926535897931e+00"
+
+    def test_cells_follow_the_column_rule(self, tmp_path):
+        path = tmp_path / "c.csv"
+        floats = np.concatenate(
+            [
+                [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.0 / 3.0],
+                np.random.default_rng(7).standard_normal(64) * 10.0 ** np.arange(-32, 32),
+            ]
+        )
+        ints = np.arange(floats.size) - 30
+        flags = ints % 3 == 0
+        emit_csv(Table(columns=("x", "n", "b"), data=(floats, ints, flags)), path)
+        expected = [f"{x:.16e},{int(n)},{int(b)}" for x, n, b in zip(floats, ints, flags)]
+        assert path.read_text().splitlines()[1:] == expected
 
     def test_non_finite_guard(self, tmp_path):
         with pytest.raises(RuntimeError):
-            emit_csv(Table(columns=("v",), rows=((np.nan,),)), tmp_path / "x.csv")
+            emit_csv(Table(columns=("v",), data=((np.nan,),)), tmp_path / "x.csv")
         with pytest.raises(RuntimeError):
-            emit_csv(Table(columns=("v",), rows=((np.inf,),)), tmp_path / "x.csv")
+            emit_csv(Table(columns=("v",), data=((1.0, np.inf),)), tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("cell", ["a,b", "a\nb"])
+    def test_separator_in_string_refused(self, tmp_path, cell):
+        with pytest.raises(ValueError, match="separators"):
+            emit_csv(Table(columns=("s",), data=(("ok", cell),)), tmp_path / "x.csv")
+
+    def test_unsupported_dtype_refused(self, tmp_path):
+        with pytest.raises(TypeError):
+            emit_csv(Table(columns=("z",), data=((1j,),)), tmp_path / "x.csv")
 
     def test_lf_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
-        emit_csv(Table(columns=("v",), rows=((1.0,), (2.0,))), path)
+        emit_csv(Table(columns=("v",), data=((1.0, 2.0),)), path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
-    def test_row_length_guard(self):
-        with pytest.raises(ValueError):
-            Table(columns=("a", "b"), rows=((1.0,),))
+    def test_column_length_guard(self):
+        with pytest.raises(ValueError, match="length"):
+            Table(columns=("a", "b"), data=((1.0,), (1.0, 2.0)))
+        with pytest.raises(ValueError, match="name"):
+            Table(columns=("a",), data=((1.0,), (2.0,)))
 
 
 class TestJsonEmission:

@@ -119,14 +119,6 @@ class TestScanTauMap:
                     window = flags[max(0, i - 1) : i + 2, max(0, j - 1) : j + 2]
                     assert window.sum() > 1, f"isolated divergence flag at {(i, j)}"
 
-    def test_rows_are_row_major(self):
-        tmap = scan_tau_map([1e8, 2e8], [5e9, 6e9, 7e9], OMEGA, n_samples=256)
-        rows = list(tmap.rows())
-        assert len(rows) == 6
-        assert rows[0][0] == 1e8 and rows[0][1] == 5e9
-        assert rows[1][0] == 1e8 and rows[1][1] == 6e9
-        assert rows[3][0] == 2e8 and rows[3][1] == 5e9
-
     # The undriven atom at the zone edge, omega_eg = omega (1 - eps), and the
     # zone centre, omega_eg = 2 omega (1 - eps): the exact minimal spacing is
     # omega - omega_eg and 2 omega - omega_eg.  Re alpha lies within
@@ -156,6 +148,17 @@ class TestScanTauMap:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             scan_tau_map([], [1e9], OMEGA)
+
+    # NaN passes the sign checks (every comparison with it is false) and inf
+    # passes them too; either one gave a wrong, unflagged cell.
+    @pytest.mark.parametrize(
+        "rabi, omega_eg", [([np.nan, 1e9], [1e10]), ([1e9], [np.inf])], ids=["nan", "inf"]
+    )
+    def test_non_finite_grid_refused(self, rabi, omega_eg):
+        with pytest.raises(ValueError, match="finite"):
+            scan_tau_map(rabi, omega_eg, OMEGA, n_samples=64)
+        with pytest.raises(ValueError, match="finite"):
+            quasienergy_magnitude_map(rabi, omega_eg, OMEGA, 64)
 
     def test_thread_count_does_not_change_results(self):
         rabi = np.linspace(0.0, 0.5 * OMEGA, 16)
