@@ -25,7 +25,7 @@ from .bath import (
     omega_dd,
 )
 from .errors import SidebandTruncationError
-from .floquet import SIGMA_X, FloquetSolution
+from .floquet import SIGMA_X, FloquetSolution, kron
 
 # The largest share of a sideband sum that its outer ring (|m| >= cutoff - 1)
 # may hold for the sum to count as converged at the table's cutoff.
@@ -195,8 +195,8 @@ def _jump_operators() -> np.ndarray:
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     ops = []
     for op in (sz, lower, lower.conj().T):
-        ops.append(inv_sqrt2 * (np.kron(op, eye) + np.kron(eye, op)))
-        ops.append(inv_sqrt2 * (np.kron(op, eye) - np.kron(eye, op)))
+        ops.append(inv_sqrt2 * (kron(op, eye) + kron(eye, op)))
+        ops.append(inv_sqrt2 * (kron(op, eye) - kron(eye, op)))
     out = np.stack(ops)
     out.flags.writeable = False
     return out

@@ -136,23 +136,13 @@ class ResultBundle:
         )
 
 
-def _check_finite(obj) -> None:
-    if isinstance(obj, float) and not np.isfinite(obj):
-        raise RuntimeError("internal error: non-finite value reached JSON emission")
-    if isinstance(obj, dict):
-        for v in obj.values():
-            _check_finite(v)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _check_finite(v)
-
-
 def emit_json(bundle: ResultBundle, path) -> None:
-    data = bundle.to_dict()
-    _check_finite(data)
+    try:
+        text = json.dumps(bundle.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise RuntimeError("internal error: non-finite value reached JSON emission") from None
     with open(path, "w", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path) -> ResultBundle:

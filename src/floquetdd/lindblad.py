@@ -30,6 +30,7 @@ from .floquet import (
     TimeGrid,
     dressed_states,
     floquet_solve,
+    kron,
 )
 from .validity import HIERARCHY_MARGIN, timescale_report
 
@@ -130,23 +131,17 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices: the same products, without its generic set-up."""
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
-
-
 def build_liouvillian(model: LindbladModel) -> np.ndarray:
     """Superoperator matrix acting on C-order vectorized density matrices."""
     ident = np.eye(model.dimension, dtype=complex)
     h = model.hamiltonian
-    out = -1j * (_kron(h, ident) - _kron(ident, h.T))
+    out = -1j * (kron(h, ident) - kron(ident, h.T))
     for rate, op in model.channels:
         ldl = op.conj().T @ op
         out += rate * (
-            _kron(op, op.conj())
-            - 0.5 * _kron(ldl, ident)
-            - 0.5 * _kron(ident, ldl.T)
+            kron(op, op.conj())
+            - 0.5 * kron(ldl, ident)
+            - 0.5 * kron(ident, ldl.T)
         )
     return out
 
@@ -249,12 +244,12 @@ def obe_reference(drive: DriveParams, geometry: AtomGeometry, bath: BathParams) 
     g11_up = gamma_thermal_single(-w_eg, geometry, bath)
 
     eye = np.eye(2, dtype=complex)
-    one = lambda op, site: np.kron(op, eye) if site == 0 else np.kron(eye, op)
+    one = lambda op, site: kron(op, eye) if site == 0 else kron(eye, op)
     h = sum(
         0.5 * drive.rabi * one(SIGMA_X, i) - 0.5 * drive.detuning * one(SIGMA_Z, i) for i in (0, 1)
     )
     raiser = lower.conj().T
-    flip_flop = np.kron(raiser, lower) + np.kron(lower, raiser)
+    flip_flop = kron(raiser, lower) + kron(lower, raiser)
     h = h + omega_dd(w_eg, geometry) * flip_flop
 
     g12_down = gamma_thermal_pair(w_eg, geometry, bath)
@@ -364,7 +359,7 @@ def fme_vs_obe_compare(
 
     # Dressed single-atom frame at t=0: columns |+>, |->.
     w1 = np.stack([gen.plus_state(), gen.minus_state()], axis=1)
-    w2 = np.kron(w1, w1)
+    w2 = kron(w1, w1)
     rho_o0 = w2 @ rho_f0 @ w2.conj().T
 
     beat = 2.0 * np.pi / gen.omega_gen

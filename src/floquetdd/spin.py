@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import AtomGeometry, omega_dd
-from .floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, dressed_states
+from .floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, dressed_states, kron
 
 # Every Pauli product in the XYZ sum is a real matrix (the entries of Y_i Y_j
 # are products of two imaginary ones), so an imaginary part above round-off
@@ -85,7 +85,7 @@ def _site_op(op: np.ndarray, site: int, n_atoms: int) -> np.ndarray:
     mats[site] = op
     out = mats[0]
     for m in mats[1:]:
-        out = np.kron(out, m)
+        out = kron(out, m)
     return out
 
 

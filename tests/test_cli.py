@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import constants
 
+from floquetdd import floquet
 from floquetdd.cli import main
 from floquetdd.io import read_csv
 
@@ -420,6 +421,24 @@ class TestPipelineCommands:
         assert values["c_pp_rel_dev"] < 0.02
         bundle = json.loads((out / "paper_endpoints.json").read_text())
         assert bundle["outputs"]["hierarchy_ok"] is True
+
+    # Each run needs one Floquet solution; every later request gets it back.
+    @pytest.mark.parametrize(
+        "subcommand, overrides",
+        [("compare", {"task": {"horizon": 5e-6}}), ("reproduce-paper", {})],
+    )
+    def test_one_propagation_per_run(self, tmp_path, monkeypatch, subcommand, overrides):
+        calls = []
+        propagate = floquet.propagate_period
+
+        def counted(drive, grid):
+            calls.append(drive)
+            return propagate(drive, grid)
+
+        monkeypatch.setattr(floquet, "_last_solve", None)
+        monkeypatch.setattr(floquet, "propagate_period", counted)
+        assert run(subcommand, write_scenario(tmp_path, **overrides), tmp_path / "out") == 0
+        assert len(calls) == 1
 
     # Undriven: theta_m = 0 above resonance and pi below it; J_zz vanishes.
     @pytest.mark.parametrize("omega_eg", [1.6e10, 0.6e10])

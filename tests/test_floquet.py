@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from floquetdd import floquet
 from floquetdd.errors import (
     DegenerateQuasienergiesError,
     SidebandTruncationError,
@@ -214,6 +215,88 @@ class TestFloquetSolve:
         weights = [sol.sideband_weights(branch) for branch in (0, 1)]
         assert max(1.0 - w.sum() for w in weights) < 1e-12
         assert max(1.0 - w[2:-2].sum() for w in weights) >= 1e-12  # 32 would not do
+
+
+class TestRememberedSolution:
+    """floquet_solve hands back its last solution for an equal (drive, grid)."""
+
+    @pytest.fixture
+    def propagations(self, monkeypatch):
+        """Start from an empty slot and count the calls of propagate_period."""
+        calls = []
+
+        def counted(drive, grid):
+            calls.append((drive, grid))
+            return propagate_period(drive, grid)
+
+        monkeypatch.setattr(floquet, "_last_solve", None)
+        monkeypatch.setattr(floquet, "propagate_period", counted)
+        return calls
+
+    def test_repeat_returns_the_same_object(self, propagations):
+        drive = DriveParams(omega=OMEGA, rabi=0.2 * OMEGA, omega_eg=0.9 * OMEGA)
+        first = floquet_solve(drive, TimeGrid.for_drive(drive, 256))
+        again = floquet_solve(
+            DriveParams(omega=OMEGA, rabi=0.2 * OMEGA, omega_eg=0.9 * OMEGA),
+            TimeGrid.for_drive(drive, 256),
+        )
+        assert again is first
+        assert len(propagations) == 1
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            {"rabi": 0.3 * OMEGA},
+            {"omega_eg": 0.8 * OMEGA},
+            {"n_samples": 512},
+        ],
+        ids=["rabi", "omega_eg", "n_samples"],
+    )
+    def test_changed_input_recomputes(self, propagations, changed):
+        base = {"rabi": 0.2 * OMEGA, "omega_eg": 0.9 * OMEGA, "n_samples": 256}
+        first = solve(base["rabi"], base["omega_eg"], n=base["n_samples"])
+        other = {**base, **changed}
+        second = solve(other["rabi"], other["omega_eg"], n=other["n_samples"])
+        assert second is not first
+        assert len(propagations) == 2
+        assert second.drive.rabi == other["rabi"]
+        assert second.drive.omega_eg == other["omega_eg"]
+        assert second.grid.n_samples == other["n_samples"]
+
+    def test_arrays_are_read_only(self):
+        sol = solve(0.2 * OMEGA, 0.9 * OMEGA, n=256)
+        with pytest.raises(ValueError, match="read-only"):
+            sol.modes[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sol.fourier[0, 0, 0] = 1.0
+
+    def test_refused_solve_raises_on_every_repeat(self, propagations):
+        degenerate = DriveParams(omega=OMEGA, rabi=0.0, omega_eg=OMEGA)
+        unresolved = DriveParams(omega=OMEGA, rabi=20.0 * OMEGA, omega_eg=0.9 * OMEGA)
+        for _ in range(2):
+            with pytest.raises(DegenerateQuasienergiesError):
+                floquet_solve(degenerate, TimeGrid.for_drive(degenerate, 256))
+        for _ in range(2):
+            with pytest.raises(SidebandTruncationError):
+                floquet_solve(unresolved, TimeGrid.for_drive(unresolved, 64))
+        assert len(propagations) == 4
+
+    def test_negative_zero_rabi_matches_a_fresh_solve(self, monkeypatch):
+        plus = DriveParams(omega=OMEGA, rabi=0.0, omega_eg=0.9 * OMEGA)
+        minus = DriveParams(omega=OMEGA, rabi=-0.0, omega_eg=0.9 * OMEGA)
+        grid = TimeGrid.for_drive(plus, 256)
+        floquet_solve(plus, grid)
+        reused = floquet_solve(minus, grid)
+        monkeypatch.setattr(floquet, "_last_solve", None)
+        fresh = floquet_solve(minus, grid)
+        assert fresh is not reused
+        assert reused.modes.tobytes() == fresh.modes.tobytes()
+        assert reused.fourier.tobytes() == fresh.fourier.tobytes()
+        assert (reused.mu_plus, reused.mu_minus, reused.truncation) == (
+            fresh.mu_plus,
+            fresh.mu_minus,
+            fresh.truncation,
+        )
 
 
 class TestSambeOracle:

@@ -262,6 +262,21 @@ class TestJsonEmission:
         with pytest.raises(RuntimeError):
             emit_json(bundle, tmp_path / "bad.json")
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [
+            {"rows": [[1.0, 2.0], [3.0, float("nan")]]},
+            {"report": {"margins": {"tau_s": np.float64(np.inf)}}},
+        ],
+        ids=["nan-in-list", "inf-in-dict"],
+    )
+    def test_nested_non_finite_refused_before_writing(self, tmp_path, outputs):
+        bundle = ResultBundle(task="demo", inputs={}, outputs=outputs, version="0")
+        path = tmp_path / "bad.json"
+        with pytest.raises(RuntimeError, match="non-finite value reached JSON emission"):
+            emit_json(bundle, path)
+        assert not path.exists()
+
     def test_schema_version_present(self, tmp_path):
         bundle = ResultBundle(task="demo", inputs={}, outputs={}, version="0.1.0")
         path = tmp_path / "s.json"
