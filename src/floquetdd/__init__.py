@@ -51,7 +51,7 @@ from .lindblad import (
     steady_state,
     validate_density_matrix,
 )
-from .scenario import Numerics, Scenario, load_scenario, parse_scenario_dict
+from .scenario import Scenario, load_scenario, parse_scenario_dict
 from .spin import (
     JTensor,
     build_spin_hamiltonian,

@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _solve(scenario: Scenario):
-    grid = TimeGrid.for_drive(scenario.drive, scenario.numerics.n_samples)
+    grid = TimeGrid.for_drive(scenario.drive, scenario.n_samples)
     return floquet_solve(scenario.drive, grid)
 
 
@@ -306,7 +306,7 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
         params["n_omega_eg"],
     )
     tau_map = scan_tau_map(
-        rabi, omega_eg, omega, n_samples=scenario.numerics.n_samples, threads=threads
+        rabi, omega_eg, omega, n_samples=scenario.n_samples, threads=threads
     )
     emit_csv(
         Table(
@@ -349,7 +349,7 @@ def _run_compare(scenario: Scenario, outdir) -> None:
         scenario.bath,
         params["horizon"],
         initial_label=label,
-        n_samples=scenario.numerics.n_samples,
+        n_samples=scenario.n_samples,
     )
     basis = _BASES["fme"]
     emit_csv(
@@ -421,7 +421,7 @@ def _run_reproduce_paper(scenario: Scenario, outdir) -> None:
     rel_pp = abs(coeff.c_pp - cg_pp) / abs(cg_pm)
     rel_pm = abs(coeff.c_pm - cg_pm) / abs(cg_pm)
 
-    report = timescale_report(drive, geometry, scenario.bath, n_samples=scenario.numerics.n_samples)
+    report = timescale_report(drive, geometry, scenario.bath, n_samples=scenario.n_samples)
 
     endpoints = {
         "omega_dd_angular_reading": om_angular,

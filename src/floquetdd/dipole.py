@@ -25,7 +25,7 @@ from .bath import (
     omega_dd,
 )
 from .errors import SidebandTruncationError
-from .floquet import SIGMA_X, FloquetSolution, kron
+from .floquet import SIGMA_MINUS, SIGMA_X, SIGMA_Z, FloquetSolution, collective_pair
 
 # The largest share of a sideband sum that its outer ring (|m| >= cutoff - 1)
 # may hold for the sum to count as converged at the table's cutoff.
@@ -186,23 +186,11 @@ def build_hdp2(coeff: CouplingCoefficients) -> np.ndarray:
     return h
 
 
-def _jump_operators() -> np.ndarray:
-    """The six unit-normalized symmetric/antisymmetric one-atom combinations."""
-    eye = np.eye(2, dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    lower = np.zeros((2, 2), dtype=complex)
-    lower[1, 0] = 1.0  # |-><+|
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    ops = []
-    for op in (sz, lower, lower.conj().T):
-        ops.append(inv_sqrt2 * (kron(op, eye) + kron(eye, op)))
-        ops.append(inv_sqrt2 * (kron(op, eye) - kron(eye, op)))
-    out = np.stack(ops)
-    out.flags.writeable = False
-    return out
-
-
-_JUMP_OPERATORS = _jump_operators()
+# The six unit-normalized symmetric/antisymmetric one-atom combinations.
+_JUMP_OPERATORS = np.stack(
+    [pair for op in (SIGMA_Z, SIGMA_MINUS, SIGMA_MINUS.conj().T) for pair in collective_pair(op)]
+)
+_JUMP_OPERATORS.flags.writeable = False
 _CHANNEL_LABELS = (
     "population symmetric",
     "population antisymmetric",

@@ -13,10 +13,15 @@ one step builder feeds both the per-sample propagation (a log-depth prefix
 scan) and the cell-vectorized quasienergy map.  Quasienergies are folded
 into the zone ``(-omega/2, omega/2]`` and the two Floquet branches are
 labelled "+" / "-" by overlap with the analytic weak-drive dressed states.
+
+The module also holds the package's one two-level operator table: the
+Pauli matrices, the lowering operator, their embedding on one site of N
+atoms and the symmetric/antisymmetric pair combinations.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +31,31 @@ from .errors import DegenerateQuasienergiesError, SidebandTruncationError, Undef
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+# Lowering operator |g><e| (|-><+| in a dressed basis).
+SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two square matrices: the same products, without its generic set-up."""
     n = a.shape[0] * b.shape[0]
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
+def site_op(op: np.ndarray, site: int, n_atoms: int) -> np.ndarray:
+    """One-atom ``op`` acting on atom ``site`` of ``n_atoms``, identity on every other atom."""
+    mats = [np.eye(2, dtype=op.dtype)] * n_atoms
+    mats[site] = op
+    out = mats[0]
+    for m in mats[1:]:
+        out = kron(out, m)
+    return out
+
+
+def collective_pair(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalized symmetric and antisymmetric pair combinations (op x 1 +- 1 x op) / sqrt(2)."""
+    first, second = site_op(op, 0, 2), site_op(op, 1, 2)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    return inv_sqrt2 * (first + second), inv_sqrt2 * (first - second)
 
 
 # Two-point Gauss-Legendre nodes and weights of the fourth-order
@@ -52,10 +76,6 @@ _BRANCH_TIE_TOL = 1e-12
 # The sideband cutoff the truncation search starts from; it grows by 2 until
 # the discarded Fourier weight is below _DISCARDED_WEIGHT_TOL.
 _MIN_TRUNCATION = 16
-
-# The most recent floquet_solve result as (drive, grid, solution), replaced
-# whole by one assignment; a pipeline asks for the same solution twice in a row.
-_last_solve = None
 
 
 @dataclass(frozen=True)
@@ -234,7 +254,14 @@ def propagate_period(drive: DriveParams, grid: TimeGrid) -> np.ndarray:
     (alpha, beta); the prefix products of all steps come from a log-depth
     (Hillis-Steele) scan, log2(n_samples) elementwise pair products, so
     every entry has the SU(2) form exactly and is unitary to round-off.
+    A ``grid`` whose period is not the drive's is refused with a
+    ``ValueError``; :meth:`TimeGrid.for_drive` always matches.
     """
+    if grid.period != drive.period:
+        raise ValueError(
+            f"grid period {grid.period!r} s differs from the drive period {drive.period!r} s; "
+            "use TimeGrid.for_drive"
+        )
     dt = grid.period / grid.n_samples
     a, b = _cf4_steps(
         drive.rabi, drive.omega_eg, drive.omega, dt, np.arange(grid.n_samples) * dt
@@ -287,8 +314,9 @@ def _orthonormal_eigenpairs(monodromy: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return values, np.stack([v0, v1], axis=1)
 
 
+@functools.lru_cache(maxsize=1)
 def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
-    """Solve the one-atom Floquet problem on the given grid.
+    """Solve the one-atom Floquet problem on a grid of the drive's period.
 
     Diagonalizes the monodromy operator, folds the eigenphases into the
     quasienergy zone, and builds the periodic modes phi(t_k) together with
@@ -297,16 +325,13 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     of both branches is below 1e-12; when even n_samples / 4 leaves more,
     a :class:`SidebandTruncationError` asks for a larger ``n_samples``.
 
-    A call whose ``drive`` and ``grid`` equal those of the previous call
+    The last solution is remembered (``functools.lru_cache`` of size one):
+    a call whose ``drive`` and ``grid`` equal those of the previous call
     returns that call's solution object again without recomputing it; a
     refused solve is never remembered and raises again on every repeat.
     ``modes`` and ``fourier`` of every returned solution are read-only, so
     that no caller can alter a solution another caller holds.
     """
-    global _last_solve
-    last = _last_solve
-    if last is not None and last[0] == drive and last[1] == grid:
-        return last[2]
     propagators = propagate_period(drive, grid)
     values, vectors = _orthonormal_eigenpairs(propagators[-1])
 
@@ -358,7 +383,7 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     modes.flags.writeable = False
     fourier.flags.writeable = False
 
-    sol = FloquetSolution(
+    return FloquetSolution(
         drive=drive,
         grid=grid,
         mu_plus=mus[plus],
@@ -367,8 +392,6 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
         fourier=fourier,
         truncation=m_kept,
     )
-    _last_solve = (drive, grid, sol)
-    return sol
 
 
 def quasienergy_magnitude_map(

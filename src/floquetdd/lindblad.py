@@ -23,14 +23,17 @@ from .bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_si
 from .dipole import build_channels, build_hdp2, coupling_coefficients, matrix_elements
 from .errors import HierarchyViolationError, PhysicsError, SteadyStateDegeneracyError
 from .floquet import (
+    SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Z,
     DriveParams,
     FloquetSolution,
     TimeGrid,
+    collective_pair,
     dressed_states,
     floquet_solve,
     kron,
+    site_op,
 )
 from .validity import HIERARCHY_MARGIN, timescale_report
 
@@ -238,25 +241,21 @@ def obe_reference(drive: DriveParams, geometry: AtomGeometry, bath: BathParams) 
     corresponding raising channels appear with the rates at -omega_eg.
     Bare basis ordering: {|ee>, |eg>, |ge>, |gg>}.
     """
-    lower = np.array([[0, 0], [1, 0]], dtype=complex)
     w_eg = drive.omega_eg
     g11_down = gamma_thermal_single(w_eg, geometry, bath)
     g11_up = gamma_thermal_single(-w_eg, geometry, bath)
 
-    eye = np.eye(2, dtype=complex)
-    one = lambda op, site: kron(op, eye) if site == 0 else kron(eye, op)
     h = sum(
-        0.5 * drive.rabi * one(SIGMA_X, i) - 0.5 * drive.detuning * one(SIGMA_Z, i) for i in (0, 1)
+        0.5 * drive.rabi * site_op(SIGMA_X, i, 2) - 0.5 * drive.detuning * site_op(SIGMA_Z, i, 2)
+        for i in (0, 1)
     )
-    raiser = lower.conj().T
-    flip_flop = kron(raiser, lower) + kron(lower, raiser)
+    raiser = SIGMA_MINUS.conj().T
+    flip_flop = kron(raiser, SIGMA_MINUS) + kron(SIGMA_MINUS, raiser)
     h = h + omega_dd(w_eg, geometry) * flip_flop
 
     g12_down = gamma_thermal_pair(w_eg, geometry, bath)
     g12_up = gamma_thermal_pair(-w_eg, geometry, bath)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    low_sym = inv_sqrt2 * (one(lower, 0) + one(lower, 1))
-    low_asym = inv_sqrt2 * (one(lower, 0) - one(lower, 1))
+    low_sym, low_asym = collective_pair(SIGMA_MINUS)
     channels = [(g11_down + g12_down, low_sym), (g11_down - g12_down, low_asym)]
     if g11_up > 0.0:
         channels.append((g11_up + g12_up, low_sym.conj().T))

@@ -27,30 +27,18 @@ _NUMERICS_KEYS = {"n_samples"}
 
 
 @dataclass(frozen=True)
-class Numerics:
-    """Grid settings; the only block with defaults.
-
-    The sideband truncation is not a setting: ``floquet_solve`` chooses it
-    from the discarded Fourier weight.
-    """
-
-    n_samples: int = 1024
-
-    def __post_init__(self):
-        try:
-            check_n_samples(self.n_samples)
-        except ValueError as err:
-            raise ScenarioError(f"numerics.{err}") from err
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Validated physical scenario plus the raw input echo."""
+    """Validated physical scenario plus the raw input echo.
+
+    ``n_samples`` is ``numerics.n_samples``, the one numerical setting.  The
+    sideband truncation is not a setting: ``floquet_solve`` chooses it from
+    the discarded Fourier weight.
+    """
 
     drive: DriveParams
     geometry: AtomGeometry
     bath: BathParams
-    numerics: Numerics
+    n_samples: int
     task: dict
     raw: dict
 
@@ -169,13 +157,21 @@ def _parse_bath(block) -> BathParams:
         raise ScenarioError(f"invalid bath block: {err}") from err
 
 
-def _parse_numerics(block) -> Numerics:
+def _parse_n_samples(block) -> int:
+    """numerics.n_samples; 1024 when the block or the key is absent."""
     if block is None:
-        return Numerics()
+        block = {}
     if not isinstance(block, dict):
         raise ScenarioError("numerics block must be an object")
     _reject_unknown(block, _NUMERICS_KEYS, "numerics")
-    return Numerics(**{key: _read(block, key, "numerics", integer) for key in block})
+    if "n_samples" not in block:
+        return 1024
+    n_samples = _read(block, "n_samples", "numerics", integer)
+    try:
+        check_n_samples(n_samples)
+    except ValueError as err:
+        raise ScenarioError(f"numerics.{err}") from err
+    return n_samples
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
@@ -192,7 +188,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
         drive=_parse_drive(data["drive"]),
         geometry=_parse_geometry(data["geometry"]),
         bath=_parse_bath(data["bath"]),
-        numerics=_parse_numerics(data.get("numerics")),
+        n_samples=_parse_n_samples(data.get("numerics")),
         task=dict(task),
         raw=data,
     )

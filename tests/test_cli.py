@@ -435,7 +435,7 @@ class TestPipelineCommands:
             calls.append(drive)
             return propagate(drive, grid)
 
-        monkeypatch.setattr(floquet, "_last_solve", None)
+        floquet.floquet_solve.cache_clear()
         monkeypatch.setattr(floquet, "propagate_period", counted)
         assert run(subcommand, write_scenario(tmp_path, **overrides), tmp_path / "out") == 0
         assert len(calls) == 1

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,7 +231,7 @@ class TestRememberedSolution:
             calls.append((drive, grid))
             return propagate_period(drive, grid)
 
-        monkeypatch.setattr(floquet, "_last_solve", None)
+        floquet_solve.cache_clear()
         monkeypatch.setattr(floquet, "propagate_period", counted)
         return calls
 
@@ -281,13 +283,13 @@ class TestRememberedSolution:
                 floquet_solve(unresolved, TimeGrid.for_drive(unresolved, 64))
         assert len(propagations) == 4
 
-    def test_negative_zero_rabi_matches_a_fresh_solve(self, monkeypatch):
+    def test_negative_zero_rabi_matches_a_fresh_solve(self):
         plus = DriveParams(omega=OMEGA, rabi=0.0, omega_eg=0.9 * OMEGA)
         minus = DriveParams(omega=OMEGA, rabi=-0.0, omega_eg=0.9 * OMEGA)
         grid = TimeGrid.for_drive(plus, 256)
         floquet_solve(plus, grid)
         reused = floquet_solve(minus, grid)
-        monkeypatch.setattr(floquet, "_last_solve", None)
+        floquet_solve.cache_clear()
         fresh = floquet_solve(minus, grid)
         assert fresh is not reused
         assert reused.modes.tobytes() == fresh.modes.tobytes()
@@ -378,6 +380,17 @@ class TestDriveParams:
             TimeGrid(n_samples=100, period=1.0)
         with pytest.raises(ValueError):
             TimeGrid(n_samples=32, period=1.0)
+
+    # A grid of another period would propagate over the wrong interval: twice
+    # the Rydberg period gave mu_+ = +0.005 omega instead of -0.495 omega.
+    @pytest.mark.parametrize("period", [2.0 * 2.0 * np.pi / OMEGA, 1.0], ids=["double", "one-second"])
+    def test_grid_of_another_period_is_refused(self, period):
+        drive = DriveParams(omega=OMEGA, rabi=0.01 * OMEGA, omega_eg=OMEGA)
+        grid = TimeGrid(n_samples=1024, period=period)
+        for call in (propagate_period, floquet_solve):
+            message = f"grid period {period!r} s differs from the drive period {drive.period!r} s"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(drive, grid)
 
     def test_hamiltonian_samples(self):
         # the lab-frame H(t) that the CF4 and ODE references above integrate

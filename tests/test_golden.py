@@ -12,7 +12,9 @@ Rewrite the manifest after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list every changed hash, with its reason, in CHANGES.md.
+which prints one line per run it added, removed or changed against the old
+manifest (naming the changed fields and files), and list every changed
+hash, with its reason, in CHANGES.md.
 """
 
 import contextlib
@@ -38,6 +40,11 @@ RYDBERG = {
     "bath": {"temperature": 0.0},
 }
 WARM = {**RYDBERG, "bath": {"temperature": 1.0}}
+# A near-resonant drive given by its detuning, in Hz.
+ORDINARY_DETUNING = {
+    **RYDBERG,
+    "drive": {"omega": 1.5e9, "rabi": 1.5e7, "detuning": 1.5e7, "frequency_convention": "ordinary"},
+}
 # Separation of one drive wavelength (c / omega): the far-field, retarded pair.
 RETARDED = {
     "drive": {"omega": OMEGA, "rabi": 1e9, "omega_eg": 1.6e10, "frequency_convention": "angular"},
@@ -84,6 +91,7 @@ def _spin_task(n_atoms):
 def _runs() -> dict:
     """name -> (subcommand, scenario dict) of every run that reads a scenario."""
     runs = {}
+    detuned = {**RYDBERG["drive"], "omega_eg": 0.98e10}
     for label, base in (("rydberg", RYDBERG), ("warm", WARM), ("retarded", RETARDED)):
         for suffix, subcommand, task in TASKS:
             runs[f"{label}-{suffix}"] = (subcommand, _with(base, task=task))
@@ -94,6 +102,13 @@ def _runs() -> dict:
             runs[f"{name}-{sub}"] = (sub, scenario)
     for n_atoms in (2, 3, 6):
         runs[f"spinmodel-positions-{n_atoms}"] = ("spinmodel", _with(RYDBERG, task=_spin_task(n_atoms)))
+    # Detuned, so the atomic frequency differs from the drive frequency.
+    runs["spinmodel-evaluate-at-atom"] = (
+        "spinmodel",
+        _with(RYDBERG, drive=detuned, task={**_spin_task(3), "evaluate_at": "atom"}),
+    )
+    for sub in ("floquet", "reproduce-paper"):
+        runs[f"ordinary-detuning-{sub}"] = (sub, ORDINARY_DETUNING)
     undriven_resonant = {**RYDBERG["drive"], "rabi": 0.0}
     undriven_above = {**undriven_resonant, "omega_eg": 1.6e10}
     unresolved = {**RYDBERG["drive"], "rabi": 2e11, "omega_eg": 9e9}
@@ -158,6 +173,30 @@ def _manifest() -> dict:
     return json.loads(MANIFEST.read_text())
 
 
+def _diff(old: dict, new: dict) -> list:
+    """One line per run added, removed or changed from the ``old`` to the ``new`` records."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old:
+            lines.append(f"added {name}")
+        elif name not in new:
+            lines.append(f"removed {name}")
+        elif old[name] != new[name]:
+            fields = [key for key in ("exit", "stdout", "error") if old[name][key] != new[name][key]]
+            before, after = old[name]["files"], new[name]["files"]
+            fields += [f for f in sorted(before.keys() | after.keys()) if before.get(f) != after.get(f)]
+            lines.append(f"changed {name}: {', '.join(fields)}")
+    return lines
+
+
+def test_diff_names_added_removed_and_changed_runs():
+    record = {"exit": 0, "stdout": "", "error": None, "files": {"a.csv": "1", "b.json": "2"}}
+    changed = {**record, "stdout": "x", "files": {"a.csv": "1", "b.json": "3"}}
+    old = {"kept": record, "gone": record, "edited": record}
+    new = {"kept": record, "edited": changed, "fresh": record}
+    assert _diff(old, new) == ["changed edited: stdout, b.json", "added fresh", "removed gone"]
+
+
 def test_manifest_names_every_run():
     assert sorted(_manifest()["runs"]) == sorted([*RUNS, *USAGE])
 
@@ -175,9 +214,14 @@ def test_golden(name, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = _manifest() if MANIFEST.exists() else {"versions": None, "runs": {}}
     records = {}
     for name in [*RUNS, *USAGE]:
         with tempfile.TemporaryDirectory() as tmp:
             records[name] = _record(name, Path(tmp))
     MANIFEST.write_text(json.dumps({"versions": _versions(), "runs": records}, indent=1, sort_keys=True) + "\n")
+    if old["versions"] != _versions():
+        print(f"versions {old['versions']} -> {_versions()}")
+    for line in _diff(old["runs"], records):
+        print(line)
     print(f"wrote {len(records)} runs to {MANIFEST}", file=sys.stderr)

@@ -16,7 +16,7 @@ from floquetdd.io import (
     read_csv,
     read_json,
 )
-from floquetdd.scenario import Numerics, load_scenario, parse_scenario_dict, task_params
+from floquetdd.scenario import load_scenario, parse_scenario_dict, task_params
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 
@@ -41,7 +41,7 @@ class TestScenarioParsing:
         assert sc.drive.detuning == 0.0
         assert sc.geometry.dipole_mag == pytest.approx(1000 * E_A0)
         assert sc.bath.temperature == 0.0
-        assert sc.numerics == Numerics()
+        assert sc.n_samples == 1024
         assert sc.task == {}
 
     def test_unknown_keys_are_named(self):
@@ -121,9 +121,9 @@ class TestScenarioParsing:
         data = base_scenario()
         data["numerics"] = {"n_samples": 512}
         sc = parse_scenario_dict(data)
-        assert sc.numerics.n_samples == 512
+        assert sc.n_samples == 512
         data["numerics"] = {}
-        assert parse_scenario_dict(data).numerics == Numerics(n_samples=1024)
+        assert parse_scenario_dict(data).n_samples == 1024
         data["numerics"] = {"n_samples": 100}
         with pytest.raises(ScenarioError):
             parse_scenario_dict(data)
@@ -138,7 +138,7 @@ class TestScenarioParsing:
         blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
         assert len(blocks) == 1
         sc = parse_scenario_dict(json.loads(blocks[0]))
-        assert sc.numerics == Numerics(n_samples=1024)
+        assert sc.n_samples == 1024
         assert sc.task == {"horizon": 3e-5}
 
     def test_task_params_validation(self):
