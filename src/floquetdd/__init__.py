@@ -57,6 +57,7 @@ from .spin import (
     build_spin_hamiltonian,
     j_tensor,
     pair_geometries_from_positions,
+    pair_tensors,
 )
 from .validity import TauMap, TimescaleReport, scan_tau_map, tau_mu, timescale_report
 

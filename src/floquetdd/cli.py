@@ -1,7 +1,9 @@
 """Batch command line front end.
 
-Every subcommand reads one strict JSON scenario, computes deterministically
-and writes CSV plus a JSON result bundle into the output directory.
+Every subcommand reads one strict JSON scenario and computes
+deterministically; its runner returns the CSV tables, bundle outputs and
+stdout summary of the run, and ``main`` alone writes them: the CSVs and one
+JSON result bundle into the output directory, then the summary.
 Exit codes: 0 success, 1 invalid scenario or usage, 2 physics-domain
 failure (degeneracies, truncation, hierarchy violations), 3 I/O failure.
 Wall-clock timing goes to stderr only, keeping all emitted files
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from .lindblad import (
     steady_state,
 )
 from .scenario import Scenario, integer, load_scenario, number, task_params
-from .spin import build_spin_hamiltonian, j_tensor, pair_geometries_from_positions
+from .spin import build_spin_hamiltonian, j_tensor, pair_geometries_from_positions, pair_tensors
 from .validity import scan_tau_map, timescale_report
 
 
@@ -52,31 +55,32 @@ def _coefficients(scenario: Scenario):
     return coupling_coefficients(matrix_elements(sol), sol, scenario.geometry)
 
 
-def _bundle(scenario: Scenario, task: str, outputs: dict) -> ResultBundle:
-    return ResultBundle(
-        task=task, inputs=scenario.raw, outputs=outputs, version=__version__
-    )
+@dataclass(frozen=True)
+class _Run:
+    """What one subcommand writes: its CSV tables by file name, in order, the
+    file name and ``outputs`` of its result bundle, and its stdout summary."""
+
+    tables: dict
+    bundle: str
+    outputs: dict
+    summary: str
 
 
-def _run_floquet(scenario: Scenario, outdir) -> None:
+def _run_floquet(scenario: Scenario) -> _Run:
     sol = _solve(scenario)
     mus = np.array([sol.mu_plus, sol.mu_minus])
-    emit_csv(
-        Table(
+    weights_p = sol.sideband_weights(0)
+    weights_m = sol.sideband_weights(1)
+    tables = {
+        "quasienergies.csv": Table(
             columns=("branch", "quasienergy_rad_per_s", "quasienergy_over_omega"),
             data=(("plus", "minus"), mus, mus / scenario.drive.omega),
         ),
-        outdir / "quasienergies.csv",
-    )
-    weights_p = sol.sideband_weights(0)
-    weights_m = sol.sideband_weights(1)
-    emit_csv(
-        Table(
+        "sidebands.csv": Table(
             columns=("n", "weight_plus", "weight_minus"),
             data=(np.arange(-sol.truncation, sol.truncation + 1), weights_p, weights_m),
         ),
-        outdir / "sidebands.csv",
-    )
+    }
     outputs = {
         "mu_plus": sol.mu_plus,
         "mu_minus": sol.mu_minus,
@@ -84,18 +88,15 @@ def _run_floquet(scenario: Scenario, outdir) -> None:
         "sideband_weights_plus": [float(w) for w in weights_p],
         "sideband_weights_minus": [float(w) for w in weights_m],
     }
-    emit_json(_bundle(scenario, "floquet", outputs), outdir / "floquet.json")
-    print(f"quasienergies: mu_plus={sol.mu_plus:.9e}  mu_minus={sol.mu_minus:.9e}")
+    summary = f"quasienergies: mu_plus={sol.mu_plus:.9e}  mu_minus={sol.mu_minus:.9e}"
+    return _Run(tables, "floquet.json", outputs, summary)
 
 
-def _run_coefficients(scenario: Scenario, outdir) -> None:
+def _run_coefficients(scenario: Scenario) -> _Run:
     coeff = _coefficients(scenario)
-    emit_csv(
-        Table(
-            columns=("m", "c_pp_contribution", "c_pm_contribution"),
-            data=(coeff.m_values, coeff.breakdown_pp, coeff.breakdown_pm),
-        ),
-        outdir / "coefficients.csv",
+    table = Table(
+        columns=("m", "c_pp_contribution", "c_pm_contribution"),
+        data=(coeff.m_values, coeff.breakdown_pp, coeff.breakdown_pm),
     )
     outputs = {
         "c_pp": coeff.c_pp,
@@ -104,27 +105,24 @@ def _run_coefficients(scenario: Scenario, outdir) -> None:
         "breakdown_pp": [float(v) for v in coeff.breakdown_pp],
         "breakdown_pm": [float(v) for v in coeff.breakdown_pm],
     }
-    emit_json(_bundle(scenario, "coefficients", outputs), outdir / "coefficients.json")
-    print(f"coefficients: c_pp={coeff.c_pp:.9e}  c_pm={coeff.c_pm:.9e}")
+    summary = f"coefficients: c_pp={coeff.c_pp:.9e}  c_pm={coeff.c_pm:.9e}"
+    return _Run({"coefficients.csv": table}, "coefficients.json", outputs, summary)
 
 
-def _run_channels(scenario: Scenario, outdir) -> None:
+def _run_channels(scenario: Scenario) -> _Run:
     sol = _solve(scenario)
     channels = build_channels(matrix_elements(sol), sol, scenario.geometry, scenario.bath)
-    emit_csv(
-        Table(
-            columns=("channel", "label", "rate_rad_per_s"),
-            data=(np.arange(1, 7), channels.labels, channels.rates),
-        ),
-        outdir / "channels.csv",
+    table = Table(
+        columns=("channel", "label", "rate_rad_per_s"),
+        data=(np.arange(1, 7), channels.labels, channels.rates),
     )
     outputs = {
         "rates": [float(r) for r in channels.rates],
         "labels": list(channels.labels),
         "operators": [matrix_to_json(op) for op in channels.operators],
     }
-    emit_json(_bundle(scenario, "channels", outputs), outdir / "channels.json")
-    print("channel rates:", " ".join(f"{r:.6e}" for r in channels.rates))
+    summary = "channel rates: " + " ".join(f"{r:.6e}" for r in channels.rates)
+    return _Run({"channels.csv": table}, "channels.json", outputs, summary)
 
 
 # Column labels of each model's basis states, in matrix order: the FME
@@ -158,7 +156,7 @@ def _initial_state(label: str, model: str) -> np.ndarray:
     return rho
 
 
-def _run_evolve(scenario: Scenario, outdir) -> None:
+def _run_evolve(scenario: Scenario) -> _Run:
     params = task_params(
         scenario,
         {
@@ -181,38 +179,32 @@ def _run_evolve(scenario: Scenario, outdir) -> None:
     traj = evolve(model, rho0, times)
     pops = np.real(np.einsum("tii->ti", traj))
     basis = _BASES[model_name]
-    emit_csv(
-        Table(
-            columns=("time_s",) + tuple(f"pop_{b}" for b in basis) + ("trace",),
-            data=(times, *pops.T, np.trace(traj, axis1=1, axis2=2).real),
-        ),
-        outdir / "trajectory.csv",
+    table = Table(
+        columns=("time_s",) + tuple(f"pop_{b}" for b in basis) + ("trace",),
+        data=(times, *pops.T, np.trace(traj, axis1=1, axis2=2).real),
     )
     outputs = {
         "model": model_name,
         "basis": list(basis),
         "final_state": matrix_to_json(traj[-1]),
     }
-    emit_json(_bundle(scenario, "evolve", outputs), outdir / "evolve.json")
-    print(f"evolved {model_name} to t={params['t_final']:.3e} s; final populations:", pops[-1])
+    summary = f"evolved {model_name} to t={params['t_final']:.3e} s; final populations: {pops[-1]}"
+    return _Run({"trajectory.csv": table}, "evolve.json", outputs, summary)
 
 
-def _run_steady(scenario: Scenario, outdir) -> None:
+def _run_steady(scenario: Scenario) -> _Run:
     params = task_params(scenario, {"model": (True, _model_name)}, "steady")
     rho = steady_state(_model(scenario, params["model"]))
-    emit_csv(
-        Table(
-            columns=("row", "col", "real", "imag"),
-            data=(*np.divmod(np.arange(rho.size), rho.shape[1]), rho.real.ravel(), rho.imag.ravel()),
-        ),
-        outdir / "steady_state.csv",
+    table = Table(
+        columns=("row", "col", "real", "imag"),
+        data=(*np.divmod(np.arange(rho.size), rho.shape[1]), rho.real.ravel(), rho.imag.ravel()),
     )
     outputs = {"model": params["model"], "steady_state": matrix_to_json(rho)}
-    emit_json(_bundle(scenario, "steady", outputs), outdir / "steady.json")
-    print("steady-state populations:", np.real(np.diag(rho)))
+    summary = f"steady-state populations: {np.real(np.diag(rho))}"
+    return _Run({"steady_state.csv": table}, "steady.json", outputs, summary)
 
 
-def _run_spinmodel(scenario: Scenario, outdir) -> None:
+def _run_spinmodel(scenario: Scenario) -> _Run:
     params = task_params(
         scenario,
         {
@@ -245,35 +237,31 @@ def _run_spinmodel(scenario: Scenario, outdir) -> None:
             )
         except ValueError as err:
             raise ScenarioError(f"invalid task.positions or task.dipole_axis: {err}") from err
+    tensors = pair_tensors(pair_geoms, scenario.drive, evaluate_at)
     ham = build_spin_hamiltonian(n_atoms, pair_geoms, scenario.drive, evaluate_at=evaluate_at)
-
-    freq = scenario.drive.omega if evaluate_at == "drive" else scenario.drive.omega_eg
-    theta = dressed_states(scenario.drive).theta_m
-    jt = j_tensor(theta, omega_dd(freq, scenario.geometry))
-    emit_csv(
-        Table(
-            columns=("component", "value_rad_per_s"),
-            data=(("j_xx", "j_yy", "j_zz", "j_xz"), (jt.j_xx, jt.j_yy, jt.j_zz, jt.j_xz)),
-        ),
-        outdir / "jtensor.csv",
-    )
-    emit_csv(
-        Table(
+    pairs = np.array(list(tensors)).T
+    values = np.array([astuple(jt) for jt in tensors.values()]).T
+    tables = {
+        "jtensor.csv": Table(columns=("i", "j", "j_xx", "j_yy", "j_zz", "j_xz"), data=(*pairs, *values)),
+        "spin_hamiltonian.csv": Table(
             columns=("row", "col", "value_rad_per_s"),
             data=(*np.divmod(np.arange(ham.size), ham.shape[1]), ham.ravel()),
         ),
-        outdir / "spin_hamiltonian.csv",
-    )
+    }
     outputs = {
-        "theta_m": theta,
-        "j_tensor": {"j_xx": jt.j_xx, "j_yy": jt.j_yy, "j_zz": jt.j_zz, "j_xz": jt.j_xz},
+        "theta_m": dressed_states(scenario.drive).theta_m,
+        "j_tensors": [{"pair": list(pair), **asdict(jt)} for pair, jt in tensors.items()],
         "hamiltonian": matrix_to_json(ham),
     }
-    emit_json(_bundle(scenario, "spinmodel", outputs), outdir / "spinmodel.json")
-    print(f"J tensor (rad/s): xx={jt.j_xx:.6e} yy={jt.j_yy:.6e} zz={jt.j_zz:.6e} xz={jt.j_xz:.6e}")
+    summary = "\n".join(
+        f"J tensor of pair {i}-{j} (rad/s): "
+        f"xx={jt.j_xx:.6e} yy={jt.j_yy:.6e} zz={jt.j_zz:.6e} xz={jt.j_xz:.6e}"
+        for (i, j), jt in tensors.items()
+    )
+    return _Run(tables, "spinmodel.json", outputs, summary)
 
 
-def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
+def _run_taumap(scenario: Scenario, threads: int) -> _Run:
     params = task_params(
         scenario,
         {
@@ -286,8 +274,9 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
         },
         "taumap",
     )
-    if params["n_rabi"] < 1 or params["n_omega_eg"] < 1:
-        raise ScenarioError("taumap grid sizes must be positive")
+    for key in ("n_rabi", "n_omega_eg"):
+        if params[key] < 1:
+            raise ScenarioError(f"task.{key} must be positive")
     for key in ("rabi_over_omega_min", "rabi_over_omega_max"):
         if params[key] < 0.0:
             raise ScenarioError(f"task.{key} must be non-negative")
@@ -308,17 +297,14 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
     tau_map = scan_tau_map(
         rabi, omega_eg, omega, n_samples=scenario.n_samples, threads=threads
     )
-    emit_csv(
-        Table(
-            columns=("omega_R", "omega_eg", "tau_mu_inv_over_omega", "diverged"),
-            data=(
-                np.repeat(rabi, omega_eg.size),
-                np.tile(omega_eg, rabi.size),
-                tau_map.tau_inv_over_omega.ravel(),
-                tau_map.diverged.ravel(),
-            ),
+    table = Table(
+        columns=("omega_R", "omega_eg", "tau_mu_inv_over_omega", "diverged"),
+        data=(
+            np.repeat(rabi, omega_eg.size),
+            np.tile(omega_eg, rabi.size),
+            tau_map.tau_inv_over_omega.ravel(),
+            tau_map.diverged.ravel(),
         ),
-        outdir / "taumap.csv",
     )
     outputs = {
         "omega": omega,
@@ -326,11 +312,11 @@ def _run_taumap(scenario: Scenario, outdir, threads: int) -> None:
         "n_omega_eg": params["n_omega_eg"],
         "n_diverged": int(tau_map.diverged.sum()),
     }
-    emit_json(_bundle(scenario, "taumap", outputs), outdir / "taumap.json")
-    print(f"taumap: {params['n_rabi']}x{params['n_omega_eg']} cells, {outputs['n_diverged']} flagged")
+    summary = f"taumap: {params['n_rabi']}x{params['n_omega_eg']} cells, {outputs['n_diverged']} flagged"
+    return _Run({"taumap.csv": table}, "taumap.json", outputs, summary)
 
 
-def _run_compare(scenario: Scenario, outdir) -> None:
+def _run_compare(scenario: Scenario) -> _Run:
     params = task_params(
         scenario,
         {"horizon": (True, number), "initial_state": (False, str)},
@@ -352,18 +338,15 @@ def _run_compare(scenario: Scenario, outdir) -> None:
         n_samples=scenario.n_samples,
     )
     basis = _BASES["fme"]
-    emit_csv(
-        Table(
+    interior = comparison.interior
+    tables = {
+        "compare_raw.csv": Table(
             columns=("time_s",)
             + tuple(f"fme_{b}" for b in basis)
             + tuple(f"obe_{b}" for b in basis),
             data=(comparison.times, *comparison.pop_fme.T, *comparison.pop_obe.T),
         ),
-        outdir / "compare_raw.csv",
-    )
-    interior = comparison.interior
-    emit_csv(
-        Table(
+        "compare_populations.csv": Table(
             columns=("time_s",)
             + tuple(f"fme_{b}" for b in basis)
             + tuple(f"obe_smoothed_{b}" for b in basis),
@@ -373,19 +356,18 @@ def _run_compare(scenario: Scenario, outdir) -> None:
                 *comparison.pop_obe_smoothed.T,
             ),
         ),
-        outdir / "compare_populations.csv",
-    )
+    }
     outputs = {
         "max_deviation": comparison.max_deviation,
         "window_samples": comparison.window_samples,
         "n_times": int(comparison.times.size),
         "initial_state": label,
     }
-    emit_json(_bundle(scenario, "compare", outputs), outdir / "compare.json")
-    print(f"max dressed-population deviation: {comparison.max_deviation:.6e}")
+    summary = f"max dressed-population deviation: {comparison.max_deviation:.6e}"
+    return _Run(tables, "compare.json", outputs, summary)
 
 
-def _run_reproduce_paper(scenario: Scenario, outdir) -> None:
+def _run_reproduce_paper(scenario: Scenario) -> _Run:
     """Quantitative endpoints: interaction energy, J ratios, coefficient check.
 
     The J tensor and the closed-form coefficients take the interaction
@@ -443,16 +425,15 @@ def _run_reproduce_paper(scenario: Scenario, outdir) -> None:
         "tau_omega_gen_s": report.tau_omega_gen,
         "tau_s_s": report.tau_s,
     }
-    emit_csv(
-        Table(columns=("quantity", "value"), data=(tuple(endpoints), tuple(endpoints.values()))),
-        outdir / "paper_endpoints.csv",
-    )
+    table = Table(columns=("quantity", "value"), data=(tuple(endpoints), tuple(endpoints.values())))
     outputs = {name: float(value) for name, value in endpoints.items()}
     outputs["hierarchy_ok"] = bool(report.hierarchy_ok)
-    emit_json(_bundle(scenario, "reproduce-paper", outputs), outdir / "paper_endpoints.json")
-    print(f"omega_dd (angular reading): {om_angular:.6e} rad/s")
-    print(f"J_xx/J_yy = {jt.j_xx / jt.j_yy:.12f}, J_xx/J_zz = {jt.j_xx / jt.j_zz:.12f}")
-    print(f"coefficient closed-form deviations: {rel_pp:.3e}, {rel_pm:.3e}")
+    summary = (
+        f"omega_dd (angular reading): {om_angular:.6e} rad/s\n"
+        f"J_xx/J_yy = {jt.j_xx / jt.j_yy:.12f}, J_xx/J_zz = {jt.j_xx / jt.j_zz:.12f}\n"
+        f"coefficient closed-form deviations: {rel_pp:.3e}, {rel_pm:.3e}"
+    )
+    return _Run({"paper_endpoints.csv": table}, "paper_endpoints.json", outputs, summary)
 
 
 _RUNNERS = {
@@ -497,7 +478,12 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        _RUNNERS[args.subcommand](scenario, outdir, **options)
+        run = _RUNNERS[args.subcommand](scenario, **options)
+        for name, table in run.tables.items():
+            emit_csv(table, outdir / name)
+        bundle = ResultBundle(args.subcommand, scenario.raw, run.outputs, __version__)
+        emit_json(bundle, outdir / run.bundle)
+        print(run.summary)
         print(
             f"{args.subcommand} finished in {time.perf_counter() - started:.2f} s",
             file=sys.stderr,

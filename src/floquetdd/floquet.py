@@ -339,11 +339,9 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
 
     # Branch labels: maximal overlap with the analytic dressed "+" state at
     # t=0; ties fall back to the |e> population, then the folded quasienergy.
-    try:
-        plus_ref = dressed_states(drive).plus_state()
-        overlaps = np.abs(plus_ref.conj() @ vectors) ** 2
-    except UndefinedMixingAngleError:
-        overlaps = np.abs(vectors[0, :]) ** 2
+    # dressed_states refuses only the resonant undriven atom, whose
+    # monodromy is -I and so refused as degenerate above.
+    overlaps = np.abs(dressed_states(drive).plus_state().conj() @ vectors) ** 2
     if abs(overlaps[0] - overlaps[1]) > _BRANCH_TIE_TOL:
         plus = int(np.argmax(overlaps))
     else:

@@ -79,6 +79,24 @@ def pair_geometries_from_positions(positions, dipole_mag: float, dipole_axis) ->
     return out
 
 
+def pair_tensors(pair_geometries: dict, drive: DriveParams, evaluate_at: str) -> dict:
+    """(i, j) -> :class:`JTensor` of every pair in ``pair_geometries``, in pair order.
+
+    Every tensor takes the drive's mixing angle and the pair's interaction
+    energy at one frequency: the drive frequency for ``evaluate_at`` "drive"
+    (exploiting its flatness across one dressed splitting) or the bare
+    transition frequency for "atom".
+    """
+    if evaluate_at not in ("drive", "atom"):
+        raise ValueError('evaluate_at must be "drive" or "atom"')
+    freq = drive.omega if evaluate_at == "drive" else drive.omega_eg
+    theta = dressed_states(drive).theta_m
+    return {
+        pair: j_tensor(theta, omega_dd(freq, pair_geometries[pair]))
+        for pair in sorted(pair_geometries)
+    }
+
+
 def build_spin_hamiltonian(
     n_atoms: int,
     pair_geometries: dict,
@@ -91,27 +109,20 @@ def build_spin_hamiltonian(
 
         J_xx X_i X_j + J_yy Y_i Y_j + J_zz Z_i Z_j + J_xz (X_i Z_j + Z_i X_j)
 
-    with its tensor from :func:`j_tensor` at the drive's mixing angle and
-    the pair's interaction energy.  ``evaluate_at`` selects the frequency
-    the interaction energy is taken at: "drive" (the default, exploiting
-    its flatness across one dressed splitting) or "atom" for cross checks
-    at the bare transition frequency.  Output is real and Hermitian.
+    with its tensor from :func:`pair_tensors`.  Output is real and Hermitian.
     """
     if n_atoms < 2 or n_atoms > 6:
         raise ValueError("supported atom counts are 2..6")
-    if evaluate_at not in ("drive", "atom"):
-        raise ValueError('evaluate_at must be "drive" or "atom"')
-    freq = drive.omega if evaluate_at == "drive" else drive.omega_eg
-    theta = dressed_states(drive).theta_m
+    tensors = pair_tensors(pair_geometries, drive, evaluate_at)
 
     dim = 2**n_atoms
     site_ops = [[site_op(p, site, n_atoms) for p in _REAL_PAULIS] for site in range(n_atoms)]
     h = np.zeros((dim, dim))
     for i in range(n_atoms):
         for j in range(i + 1, n_atoms):
-            if (i, j) not in pair_geometries:
+            if (i, j) not in tensors:
                 raise ValueError(f"missing geometry for pair {(i, j)}")
-            jt = j_tensor(theta, omega_dd(freq, pair_geometries[(i, j)]))
+            jt = tensors[(i, j)]
             xi, iyi, zi = site_ops[i]
             xj, iyj, zj = site_ops[j]
             h += jt.j_xx * (xi @ xj) - jt.j_yy * (iyi @ iyj) + jt.j_zz * (zi @ zj)

@@ -89,6 +89,9 @@ def tau_mu(drive: DriveParams, sol: FloquetSolution) -> float:
 class TauMap:
     """tau_mu^-1 scan over a (rabi, omega_eg) grid at fixed drive frequency.
 
+    Both arrays have one row per rabi value and one column per omega_eg
+    value of the scan that made them.
+
     ``tau_inv_over_omega`` is zero on the cells whose minimal spacing lies
     below the divergence floor of :func:`tau_mu` (tau_mu = inf there).
     ``diverged`` marks those cells and the cells next to a stripe crossing,
@@ -96,9 +99,6 @@ class TauMap:
     locus |mu_+| = omega/4); crossing cells keep their value.
     """
 
-    omega: float
-    rabi_values: np.ndarray
-    omega_eg_values: np.ndarray
     tau_inv_over_omega: np.ndarray
     diverged: np.ndarray
 
@@ -163,9 +163,6 @@ def scan_tau_map(
     tau_inv = _min_spacing(omega, mu_abs)
     below = _below_floor(tau_inv, omega)
     return TauMap(
-        omega=omega,
-        rabi_values=rabi,
-        omega_eg_values=omega_eg,
         tau_inv_over_omega=np.where(below, 0.0, tau_inv / omega),
         diverged=(below | _stripe_crossings(half_trace)).astype(int),
     )

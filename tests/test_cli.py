@@ -69,7 +69,8 @@ class TestSpinmodelCommand:
         out = tmp_path / "out"
         assert run("spinmodel", scenario, out) == 0
         bundle = json.loads((out / "spinmodel.json").read_text())
-        jt = bundle["outputs"]["j_tensor"]
+        [jt] = bundle["outputs"]["j_tensors"]
+        assert jt["pair"] == [0, 1]
         assert jt["j_xx"] / jt["j_yy"] == pytest.approx(2.0, abs=1e-10)
         assert jt["j_xx"] / jt["j_zz"] == pytest.approx(2.0, abs=1e-10)
         ham = read_csv(out / "spin_hamiltonian.csv")
@@ -93,6 +94,33 @@ class TestSpinmodelCommand:
         assert run("spinmodel", scenario, out) == 0
         ham = read_csv(out / "spin_hamiltonian.csv")
         assert len(ham.rows) == 64
+
+    def test_reported_tensors_are_the_written_pair_couplings(self, tmp_path):
+        # Three atoms 10 um apart on a line, closer than the geometry block's
+        # 40 um: each reported tensor is the Pauli projection
+        # tr(H P_i Q_j) / 2^N of the written Hamiltonian onto its own pair.
+        n_atoms = 3
+        scenario = write_scenario(tmp_path, task=spin_task(n_atoms))
+        out = tmp_path / "out"
+        assert run("spinmodel", scenario, out) == 0
+        written = read_csv(out / "spin_hamiltonian.csv")
+        ham = np.zeros((2**n_atoms, 2**n_atoms))
+        for row, col, value in written.rows:
+            ham[row, col] = value
+        paulis = {"x": floquet.SIGMA_X, "y": floquet.SIGMA_Y, "z": floquet.SIGMA_Z}
+        tensors = read_csv(out / "jtensor.csv")
+        bundle = json.loads((out / "spinmodel.json").read_text())["outputs"]["j_tensors"]
+        assert [row[:2] for row in tensors.rows] == [(0, 1), (0, 2), (1, 2)]
+        assert [entry["pair"] for entry in bundle] == [[0, 1], [0, 2], [1, 2]]
+        scale = np.max(np.abs(ham))
+        for (i, j, *values), entry in zip(tensors.rows, bundle):
+            for name, value in zip(("j_xx", "j_yy", "j_zz", "j_xz"), values):
+                op = floquet.site_op(paulis[name[2]], i, n_atoms) @ floquet.site_op(paulis[name[3]], j, n_atoms)
+                projection = np.trace(ham @ op).real / 2**n_atoms
+                assert value == pytest.approx(projection, rel=1e-12, abs=1e-12 * scale)
+                assert entry[name] == value
+        # near field, 1/r^3: the two ends, twice as far apart, couple 8 times more weakly
+        assert tensors.rows[0][2] / tensors.rows[1][2] == pytest.approx(8.0, rel=1e-3)
 
 
 def spin_task(n_atoms, coincide=False, axis=(0.0, 0.0, 1.0)):

@@ -112,6 +112,7 @@ def _runs() -> dict:
     undriven_resonant = {**RYDBERG["drive"], "rabi": 0.0}
     undriven_above = {**undriven_resonant, "omega_eg": 1.6e10}
     unresolved = {**RYDBERG["drive"], "rabi": 2e11, "omega_eg": 9e9}
+    evolve_task = {"model": "obe", "t_final": 1e-6, "n_times": 3, "initial_state": "gg"}
     runs.update(
         {
             # exit 1: invalid scenario values
@@ -121,6 +122,17 @@ def _runs() -> dict:
             "exit1-n-atoms": ("spinmodel", _with(RYDBERG, task=_spin_task(7))),
             "exit1-initial-state": ("compare", _with(RYDBERG, task={"horizon": 1e-5, "initial_state": "xx"})),
             "exit1-taumap-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "rabi_over_omega_min": -0.1})),
+            "exit1-taumap-n-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "n_rabi": 0})),
+            "exit1-evolve-model": ("evolve", _with(RYDBERG, task={**evolve_task, "model": "xyz"})),
+            "exit1-evolve-t-final": ("evolve", _with(RYDBERG, task={**evolve_task, "t_final": 0})),
+            "exit1-evolve-n-times": ("evolve", _with(RYDBERG, task={**evolve_task, "n_times": 1})),
+            "exit1-spinmodel-evaluate-at": ("spinmodel", _with(RYDBERG, task={"evaluate_at": "bath"})),
+            "exit1-spinmodel-no-positions": ("spinmodel", _with(RYDBERG, task={"n_atoms": 3})),
+            "exit1-spinmodel-positions-count": (
+                "spinmodel",
+                _with(RYDBERG, task={**_spin_task(3), "positions": _spin_task(2)["positions"]}),
+            ),
+            "exit1-compare-horizon": ("compare", _with(RYDBERG, task={"horizon": 0})),
             # exit 2: physics-domain refusals
             "exit2-degenerate": ("floquet", _with(RYDBERG, drive=undriven_resonant)),
             "exit2-unresolved-sidebands": ("floquet", _with(RYDBERG, drive=unresolved, numerics={"n_samples": 64})),
