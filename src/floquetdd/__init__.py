@@ -35,7 +35,6 @@ from .floquet import (
     TimeGrid,
     dressed_states,
     floquet_solve,
-    fold_to_zone,
     propagate_period,
     quasienergy_magnitude_map,
 )

@@ -221,10 +221,13 @@ def _run_spinmodel(scenario: Scenario) -> _Run:
     evaluate_at = params.get("evaluate_at", "drive")
     if evaluate_at not in ("drive", "atom"):
         raise ScenarioError("task.evaluate_at must be 'drive' or 'atom'")
+    for key, other in (("positions", "dipole_axis"), ("dipole_axis", "positions")):
+        if key in params and other not in params:
+            raise ScenarioError(f"spinmodel with task.{key} requires task.{other}")
     if n_atoms == 2 and "positions" not in params:
         pair_geoms = {(0, 1): scenario.geometry}
     else:
-        if "positions" not in params or "dipole_axis" not in params:
+        if "positions" not in params:
             raise ScenarioError(
                 "spinmodel with n_atoms != 2 requires task.positions and task.dipole_axis"
             )

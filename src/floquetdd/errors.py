@@ -12,7 +12,7 @@ class PhysicsError(Exception):
 
 
 class DegenerateQuasienergiesError(PhysicsError):
-    """Monodromy eigenvalues coincide; Floquet branches cannot be separated.
+    """Quasienergies collide within 1e-12 * omega; Floquet branches cannot be separated.
 
     Callers should perturb the drive parameters (the degeneracy sits exactly
     on a quasienergy crossing).

@@ -10,9 +10,11 @@ All frequencies are angular (rad/s).  Propagators are products of exact
 traceless, so they lie in SU(2) and are held as pairs (alpha, beta) of
 U = [[alpha, beta], [-conj(beta), conj(alpha)]], multiplied elementwise;
 one step builder feeds both the per-sample propagation (a log-depth prefix
-scan) and the cell-vectorized quasienergy map.  Quasienergies are folded
-into the zone ``(-omega/2, omega/2]`` and the two Floquet branches are
-labelled "+" / "-" by overlap with the analytic weak-drive dressed states.
+scan) and the cell-vectorized quasienergy map.  Both take the quasienergies
++-mu, mu in [0, omega/2], from the eigenphase of the one-period (monodromy)
+pair, so none needs folding; ``floquet_solve`` reads the Floquet vectors
+from the same pair in closed form and labels the branches "+" / "-" by
+overlap with the analytic weak-drive dressed states.
 
 The module also holds the package's one two-level operator table: the
 Pauli matrices, the lowering operator, their embedding on one site of N
@@ -66,7 +68,9 @@ _CF4_NODE_2 = 0.5 + np.sqrt(3.0) / 6.0
 _CF4_A1 = 0.25 - np.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 + np.sqrt(3.0) / 6.0
 
-_DEGENERACY_TOL = 1e-12
+# A quasienergy spacing below this fraction of omega counts as a collision:
+# floquet_solve cannot separate the two branches there, and tau_mu diverges.
+_DIVERGENCE_TOL = 1e-12
 # Fourier weight of a mode beyond the sideband cutoff is dropped from every
 # sideband sum, so it bounds the error of the sum rule.
 _DISCARDED_WEIGHT_TOL = 1e-12
@@ -76,6 +80,11 @@ _BRANCH_TIE_TOL = 1e-12
 # The sideband cutoff the truncation search starts from; it grows by 2 until
 # the discarded Fourier weight is below _DISCARDED_WEIGHT_TOL.
 _MIN_TRUNCATION = 16
+
+
+def _below_floor(spacing, omega: float):
+    """Whether a spacing lies below the collision floor _DIVERGENCE_TOL * omega (elementwise)."""
+    return spacing < _DIVERGENCE_TOL * omega
 
 
 @dataclass(frozen=True)
@@ -173,7 +182,9 @@ class DressedStates:
 class FloquetSolution:
     """Quasienergies, periodic modes and sideband amplitudes of one atom.
 
-    Branch index 0 is "+", branch index 1 is "-".  ``modes[b, k]`` is the
+    Branch index 0 is "+", branch index 1 is "-".  ``mu_plus`` lies in
+    ``(-omega/2, omega/2)`` and ``mu_minus`` is ``-mu_plus`` exactly: the
+    quasienergies of an SU(2) monodromy are a +- pair.  ``modes[b, k]`` is the
     periodic mode phi_b(t_k) in the bare basis; ``fourier[b, truncation + n]``
     is the Fourier amplitude phi_b^(n) with phi(t) = sum_n phi^(n) e^{i n w t},
     for |n| <= truncation.
@@ -182,29 +193,17 @@ class FloquetSolution:
     drive: DriveParams
     grid: TimeGrid
     mu_plus: float
-    mu_minus: float
     modes: np.ndarray
     fourier: np.ndarray
     truncation: int
 
+    @property
+    def mu_minus(self) -> float:
+        return -self.mu_plus
+
     def sideband_weights(self, branch: int) -> np.ndarray:
         """|phi^(n)|^2 summed over components, n = -truncation..truncation."""
         return np.sum(np.abs(self.fourier[branch]) ** 2, axis=-1)
-
-
-def fold_to_zone(mu: float, omega: float) -> float:
-    """Fold a quasienergy into the zone (-omega/2, omega/2].
-
-    The result is congruent to ``mu`` modulo ``omega``.
-    """
-    if not (np.isfinite(mu) and np.isfinite(omega)):
-        raise ValueError("mu and omega must be finite")
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    folded = mu - omega * np.floor(mu / omega + 0.5)
-    if folded <= -0.5 * omega:
-        folded += omega
-    return float(folded)
 
 
 def _su2_exponentials(px: np.ndarray, pz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,26 +299,13 @@ def dressed_states(drive: DriveParams) -> DressedStates:
     )
 
 
-def _orthonormal_eigenpairs(monodromy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormalized eigenvectors of a 2x2 unitary."""
-    values, vectors = np.linalg.eig(monodromy)
-    if abs(values[0] - values[1]) < _DEGENERACY_TOL:
-        raise DegenerateQuasienergiesError(
-            "monodromy eigenvalues coincide within 1e-12; "
-            "perturb the drive parameters"
-        )
-    v0 = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
-    v1 = vectors[:, 1] - v0 * np.vdot(v0, vectors[:, 1])
-    v1 = v1 / np.linalg.norm(v1)
-    return values, np.stack([v0, v1], axis=1)
-
-
 @functools.lru_cache(maxsize=1)
 def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     """Solve the one-atom Floquet problem on a grid of the drive's period.
 
-    Diagonalizes the monodromy operator, folds the eigenphases into the
-    quasienergy zone, and builds the periodic modes phi(t_k) together with
+    Reads the quasienergies +-mu and the Floquet vectors in closed form from
+    the monodromy pair (alpha, beta), refusing a spacing min(2 mu, omega -
+    2 mu) below 1e-12 * omega, and builds the periodic modes phi(t_k) with
     their Fourier amplitudes.  The sideband truncation is the smallest
     cutoff 16, 18, ..., n_samples / 4 at which the discarded Fourier weight
     of both branches is below 1e-12; when even n_samples / 4 leaves more,
@@ -333,14 +319,29 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     that no caller can alter a solution another caller holds.
     """
     propagators = propagate_period(drive, grid)
-    values, vectors = _orthonormal_eigenpairs(propagators[-1])
-
-    mus = [fold_to_zone(-float(np.angle(v)) / grid.period, drive.omega) for v in values]
+    alpha, beta = propagators[-1, 0]
+    mu = float(_su2_eigenphase(alpha, beta)) / grid.period
+    spacing = min(2.0 * mu, drive.omega - 2.0 * mu)
+    if _below_floor(spacing, drive.omega):
+        raise DegenerateQuasienergiesError(
+            f"quasienergies collide: their spacing {spacing / drive.omega:.1e} omega lies below "
+            f"the floor {_DIVERGENCE_TOL:.0e} omega; perturb the drive parameters"
+        )
+    # Eigenvalues Re alpha -+ i s: v has exp(-i mu T), in the form free of
+    # cancellation; w = (-conj(v1), conj(v0)) is orthogonal to it, with exp(+i mu T).
+    s = np.sqrt(alpha.imag**2 + abs(beta) ** 2)
+    if alpha.imag <= 0.0:
+        v = np.array([s - alpha.imag, -1j * np.conj(beta)])
+    else:
+        v = np.array([1j * beta, s + alpha.imag])
+    v /= np.linalg.norm(v)
+    vectors = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+    mus = (mu, -mu)
 
     # Branch labels: maximal overlap with the analytic dressed "+" state at
-    # t=0; ties fall back to the |e> population, then the folded quasienergy.
+    # t=0; ties fall back to the |e> population, then the larger quasienergy.
     # dressed_states refuses only the resonant undriven atom, whose
-    # monodromy is -I and so refused as degenerate above.
+    # monodromy is -I and so refused as a collision above.
     overlaps = np.abs(dressed_states(drive).plus_state().conj() @ vectors) ** 2
     if abs(overlaps[0] - overlaps[1]) > _BRANCH_TIE_TOL:
         plus = int(np.argmax(overlaps))
@@ -385,7 +386,6 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
         drive=drive,
         grid=grid,
         mu_plus=mus[plus],
-        mu_minus=mus[minus],
         modes=modes,
         fourier=fourier,
         truncation=m_kept,
@@ -405,8 +405,9 @@ def quasienergy_magnitude_map(
     :func:`_su2_eigenphase` without any eigendecomposition or branch
     labelling.  ``n_samples`` obeys the rule of :class:`TimeGrid`.  Returns
     two arrays of shape ``(len(rabi_values), len(omega_eg_values))``: the
-    folded quasienergy magnitude and the monodromy half-trace Re alpha =
-    cos(mu_+ T), whose sign changes mark the quarter-zone stripe.
+    quasienergy magnitude |mu_+| in [0, omega/2] and the monodromy
+    half-trace Re alpha = cos(mu_+ T), whose sign changes mark the
+    quarter-zone stripe.
     """
     if omega <= 0.0 or not np.isfinite(omega):
         raise ValueError("omega must be positive and finite")

@@ -3,7 +3,7 @@
 The Lindblad form of the driven-pair master equation requires the
 quasienergy-spacing time scale tau_mu to sit well between the drive period
 and the system response time tau_s ~ 1/|omega_dd|.  This module computes
-tau_mu from folded quasienergies, scans it over drive-parameter maps with
+tau_mu from the quasienergy pair +-mu_+, scans it over drive-parameter maps with
 divergence-stripe detection, and assembles hierarchy reports.
 """
 
@@ -20,14 +20,11 @@ from .floquet import (
     DriveParams,
     FloquetSolution,
     TimeGrid,
+    _below_floor,
     dressed_states,
     floquet_solve,
     quasienergy_magnitude_map,
 )
-
-# A quasienergy spacing below this fraction of omega counts as a collision:
-# tau_mu diverges there.
-_DIVERGENCE_TOL = 1e-12
 
 # "Much smaller than" in the time-scale hierarchy: one order of magnitude, so that
 # the terms the secular approximation drops average out over the longer scale.
@@ -58,22 +55,18 @@ def _min_spacing(omega: float, mu_abs):
     return np.minimum(np.minimum(omega - 2.0 * mu_abs, 2.0 * mu_abs), np.abs(omega - 4.0 * mu_abs))
 
 
-def _below_floor(spacing, omega: float):
-    """Whether a spacing lies below the divergence floor _DIVERGENCE_TOL * omega (elementwise)."""
-    return spacing < _DIVERGENCE_TOL * omega
-
-
 def tau_mu(drive: DriveParams, sol: FloquetSolution) -> float:
     """Inverse minimal quasienergy-spacing scale (seconds, possibly inf).
 
-    With the folded |mu_+| the three candidate spacings are
+    With |mu_+| in [0, omega/2] the three candidate spacings are
 
         |omega - 2|mu_+||,   2|mu_+|,   |omega - 4|mu_+||
 
-    and tau_mu is the inverse of their minimum; below 1e-12 * omega the
-    scale is reported as infinite (divergence).  The same expression holds
-    for any atom number because product quasienergies are sums of the
-    single-atom pair.
+    and tau_mu is the inverse of their minimum; below 1e-12 * omega, the
+    collision floor at which :func:`floquet_solve` refuses, the scale is
+    reported as infinite (divergence).  The same expression holds for any
+    atom number because product quasienergies are sums of the single-atom
+    pair.
     """
     omega = drive.omega
     mu_abs = abs(sol.mu_plus)
@@ -176,7 +169,8 @@ def timescale_report(
 ) -> TimescaleReport:
     """Assemble the time-scale hierarchy for one physical scenario.
 
-    A quasienergy collision (degenerate monodromy) is reported as
+    A quasienergy collision, a spacing below the one floor of
+    :func:`floquet_solve` and :func:`tau_mu` (1e-12 * omega), is reported as
     tau_mu = inf with the hierarchy flagged as violated rather than raised;
     a drive whose Floquet modes ``n_samples`` cannot resolve raises the
     :class:`SidebandTruncationError` of :func:`floquet_solve`.  The bath

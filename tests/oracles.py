@@ -9,7 +9,9 @@ None of these is used by the package itself:
   oracle of the closed-form XYZ tensor :func:`floquetdd.spin.j_tensor`
 * the truncated Sambe-Shirley Floquet Hamiltonian, an oracle of
   :func:`floquetdd.floquet.floquet_solve` that shares none of its
-  propagation code
+  propagation code, and the sideband matrix elements as convolutions of its
+  Fourier blocks, an oracle of :func:`floquetdd.dipole.matrix_elements`
+* the zone fold of a quasienergy, for the rotating-wave references
 """
 
 from __future__ import annotations
@@ -23,6 +25,18 @@ from floquetdd.dipole import MatrixElementTable, _sigma_x_spectrum
 from floquetdd.floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, FloquetSolution
 from floquetdd.lindblad import LindbladModel, build_liouvillian
 from floquetdd.spin import JTensor
+
+
+def fold_to_zone(mu: float, omega: float) -> float:
+    """Fold a quasienergy into the zone (-omega/2, omega/2], congruent to ``mu`` modulo ``omega``."""
+    if not (np.isfinite(mu) and np.isfinite(omega)):
+        raise ValueError("mu and omega must be finite")
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
+    folded = mu - omega * np.floor(mu / omega + 0.5)
+    if folded <= -0.5 * omega:
+        folded += omega
+    return float(folded)
 
 
 def dissipator_matrix(channels) -> np.ndarray:
@@ -229,3 +243,33 @@ def sambe_floquet(drive: DriveParams, n_blocks: int) -> tuple[np.ndarray, np.nda
     h_floquet = diagonal + np.kron(shift, 0.5 * drive.rabi * SIGMA_X)
     values, vectors = np.linalg.eigh(h_floquet)
     return values, vectors.reshape(size, 2, -1)
+
+
+def sambe_matrix_elements(
+    drive: DriveParams, n_blocks: int, mus, truncation: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sideband elements of sigma_x as convolutions of Sambe-Shirley Fourier blocks.
+
+    For each quasienergy of ``mus`` the eigenvector of :func:`sambe_floquet`
+    nearest to it gives the blocks u_n of its mode, and
+
+        <<phi_a|sigma_x|phi_b>>_m = sum_n u_{a,n}^+ sigma_x u_{b,n-m}
+
+    for |m| <= ``truncation``.  Returns the picked eigenvalues and the
+    elements, shape ``(2, 2, 2 truncation + 1)`` with index ``truncation + m``.
+    The phase of each eigenvector is arbitrary, so only |element|^2 is
+    comparable with :func:`floquetdd.dipole.matrix_elements`.
+    """
+    values, blocks = sambe_floquet(drive, n_blocks)
+    picked = [int(np.argmin(np.abs(values - mu))) for mu in mus]
+    u = np.stack([blocks[:, :, k] for k in picked])  # (branch, n, component)
+    sx_u = u @ SIGMA_X.T
+    size = u.shape[1]
+    out = np.zeros((2, 2, 2 * truncation + 1), dtype=complex)
+    for a, b in itertools.product(range(2), repeat=2):
+        for m in range(-truncation, truncation + 1):
+            if m >= 0:
+                out[a, b, truncation + m] = np.sum(u[a, m:].conj() * sx_u[b, : size - m])
+            else:
+                out[a, b, truncation + m] = np.sum(u[a, : size + m].conj() * sx_u[b, -m:])
+    return values[picked], out

@@ -10,7 +10,7 @@ from scipy import constants
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single, omega_dd
 from floquetdd.dipole import build_channels, build_hdp2, coupling_coefficients, matrix_elements
-from floquetdd.floquet import DriveParams, TimeGrid, dressed_states, floquet_solve, fold_to_zone
+from floquetdd.floquet import DriveParams, TimeGrid, dressed_states, floquet_solve
 from floquetdd.lindblad import (
     LindbladModel,
     build_liouvillian,
@@ -24,6 +24,7 @@ from oracles import (
     dissipator_blocks,
     dissipator_matrix,
     dressed_bare_equivalence,
+    fold_to_zone,
 )
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]

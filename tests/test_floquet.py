@@ -18,11 +18,11 @@ from floquetdd.floquet import (
     TimeGrid,
     dressed_states,
     floquet_solve,
-    fold_to_zone,
     propagate_period,
     quasienergy_magnitude_map,
 )
-from oracles import sambe_floquet
+from floquetdd.validity import tau_mu
+from oracles import fold_to_zone, sambe_floquet
 
 OMEGA = 1e10
 
@@ -54,6 +54,8 @@ def solve(rabi, omega_eg, n=1024, omega=OMEGA):
 
 
 class TestFoldToZone:
+    """The zone fold of the rotating-wave references (tests/oracles.py)."""
+
     def test_examples(self):
         assert fold_to_zone(0.75 * OMEGA, OMEGA) == pytest.approx(-0.25 * OMEGA)
         assert fold_to_zone(0.0, OMEGA) == 0.0
@@ -217,6 +219,40 @@ class TestFloquetSolve:
         weights = [sol.sideband_weights(branch) for branch in (0, 1)]
         assert max(1.0 - w.sum() for w in weights) < 1e-12
         assert max(1.0 - w[2:-2].sum() for w in weights) >= 1e-12  # 32 would not do
+
+
+class TestClosedForm:
+    """floquet_solve reads mu and the Floquet vectors from the monodromy pair."""
+
+    # An undriven atom has the quasienergies +-omega_eg / 2: omega_eg near 0
+    # puts the spacing 2|mu_+| at the zone centre, near omega the spacing
+    # omega - 2|mu_+| at the zone edge.
+    @pytest.mark.parametrize("edge", [False, True], ids=["centre", "edge"])
+    def test_collision_floor(self, edge):
+        def undriven(spacing):
+            return solve(0.0, OMEGA * (1.0 - spacing) if edge else OMEGA * spacing)
+
+        with pytest.raises(DegenerateQuasienergiesError, match="5.0e-13 omega lies below the floor 1e-12"):
+            undriven(5e-13)
+        sol = undriven(2e-12)
+        spacing = OMEGA - 2.0 * abs(sol.mu_plus) if edge else 2.0 * abs(sol.mu_plus)
+        assert spacing == pytest.approx(2e-12 * OMEGA, rel=1e-3)
+        # tau_mu reads the same floor: finite where the solve succeeds
+        assert np.isfinite(tau_mu(sol.drive, sol))
+
+    def test_pair_and_vectors_on_random_drives(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            n = int(2 ** rng.integers(6, 12))
+            sol = solve(rng.uniform(0.0, 0.8) * OMEGA, rng.uniform(0.1, 1.9) * OMEGA, n=n)
+            assert sol.mu_minus == -sol.mu_plus
+            vectors = sol.modes[:, 0, :]  # phi_b(0), the Floquet vectors
+            assert np.max(np.abs(vectors.conj() @ vectors.T - np.eye(2))) <= 1e-15
+            # eigenpairs of the monodromy: measured residual 1.4e-14
+            monodromy = propagate_period(sol.drive, sol.grid)[-1]
+            for vector, mu in zip(vectors, (sol.mu_plus, sol.mu_minus)):
+                residual = monodromy @ vector - np.exp(-1j * mu * sol.grid.period) * vector
+                assert np.max(np.abs(residual)) <= 3e-14
 
 
 class TestRememberedSolution:

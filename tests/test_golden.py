@@ -111,6 +111,8 @@ def _runs() -> dict:
         runs[f"ordinary-detuning-{sub}"] = (sub, ORDINARY_DETUNING)
     undriven_resonant = {**RYDBERG["drive"], "rabi": 0.0}
     undriven_above = {**undriven_resonant, "omega_eg": 1.6e10}
+    # Quasienergy spacing 5e-13 omega, below the collision floor of 1e-12 omega.
+    undriven_near_edge = {**undriven_resonant, "omega_eg": OMEGA * (1.0 - 5e-13)}
     unresolved = {**RYDBERG["drive"], "rabi": 2e11, "omega_eg": 9e9}
     evolve_task = {"model": "obe", "t_final": 1e-6, "n_times": 3, "initial_state": "gg"}
     runs.update(
@@ -132,9 +134,15 @@ def _runs() -> dict:
                 "spinmodel",
                 _with(RYDBERG, task={**_spin_task(3), "positions": _spin_task(2)["positions"]}),
             ),
+            "exit1-spinmodel-axis-no-positions": ("spinmodel", _with(RYDBERG, task={"dipole_axis": [1.0, 0.0, 0.0]})),
+            "exit1-spinmodel-positions-no-axis": (
+                "spinmodel",
+                _with(RYDBERG, task={"positions": _spin_task(2)["positions"]}),
+            ),
             "exit1-compare-horizon": ("compare", _with(RYDBERG, task={"horizon": 0})),
             # exit 2: physics-domain refusals
             "exit2-degenerate": ("floquet", _with(RYDBERG, drive=undriven_resonant)),
+            "exit2-near-degenerate": ("floquet", _with(RYDBERG, drive=undriven_near_edge)),
             "exit2-unresolved-sidebands": ("floquet", _with(RYDBERG, drive=unresolved, numerics={"n_samples": 64})),
             "exit2-compare-undriven": ("compare", _with(RYDBERG, drive=undriven_resonant, task={"horizon": 1e-5})),
             "exit2-reproduce-undriven": ("reproduce-paper", _with(RYDBERG, drive=undriven_above)),

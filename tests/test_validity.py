@@ -30,7 +30,6 @@ def fake_solution(drive, mu_plus):
         drive=drive,
         grid=grid,
         mu_plus=mu_plus,
-        mu_minus=-mu_plus,
         modes=np.zeros((2, 64, 2), dtype=complex),
         fourier=np.zeros((2, 3, 2), dtype=complex),
         truncation=1,
