@@ -79,7 +79,7 @@ class AtomGeometry:
             raise ValueError("expected exactly two 3-vectors")
         axis = np.asarray(dipole_axis, dtype=float)
         norm = np.linalg.norm(axis)
-        if not (np.isfinite(norm) and norm > 0.0):
+        if axis.shape != (3,) or not (np.isfinite(norm) and norm > 0.0):
             raise ValueError("dipole_axis must be a nonzero 3-vector")
         rvec = pos[1] - pos[0]
         r = float(np.linalg.norm(rvec))

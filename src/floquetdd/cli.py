@@ -35,7 +35,7 @@ from .lindblad import (
     obe_reference,
     steady_state,
 )
-from .scenario import Scenario, integer, load_scenario, number, task_params
+from .scenario import Scenario, integer, load_scenario, number, numbers, task_params
 from .spin import build_spin_hamiltonian, j_tensor, pair_geometries_from_positions, pair_tensors
 from .validity import scan_tau_map, timescale_report
 
@@ -209,8 +209,8 @@ def _run_spinmodel(scenario: Scenario) -> _Run:
         scenario,
         {
             "n_atoms": (False, integer),
-            "positions": (False, list),
-            "dipole_axis": (False, list),
+            "positions": (False, numbers),
+            "dipole_axis": (False, numbers),
             "evaluate_at": (False, str),
         },
         "spinmodel",

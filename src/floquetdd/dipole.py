@@ -33,17 +33,34 @@ _CONVERGED_RING_TOL = 1e-10
 
 PLUS, MINUS = 0, 1
 
+# The six unit-normalized symmetric/antisymmetric one-atom combinations.
+_JUMP_OPERATORS = np.stack(
+    [pair for op in (SIGMA_Z, SIGMA_MINUS, SIGMA_MINUS.conj().T) for pair in collective_pair(op)]
+)
+_JUMP_OPERATORS.flags.writeable = False
+_CHANNEL_LABELS = (
+    "population symmetric",
+    "population antisymmetric",
+    "lowering symmetric",
+    "lowering antisymmetric",
+    "raising symmetric",
+    "raising antisymmetric",
+)
+
 
 @dataclass(frozen=True)
 class MatrixElementTable:
     """Sideband matrix elements <<phi_a|sigma_x|phi_b>>_m for |m| <= truncation.
 
     ``entries[a, b, truncation + m]`` holds the element with branch indices
-    0 = "+", 1 = "-".
+    0 = "+", 1 = "-"; the cutoff ``truncation`` is read from its last axis.
     """
 
     entries: np.ndarray
-    truncation: int
+
+    @property
+    def truncation(self) -> int:
+        return (self.entries.shape[-1] - 1) // 2
 
     @property
     def m_values(self) -> np.ndarray:
@@ -59,16 +76,26 @@ class CouplingCoefficients:
     """Coefficients of the two-atom dipole Hamiltonian in the Floquet basis.
 
     ``c_pp`` multiplies the sigma_z-like (population) part and ``c_pm`` the
-    excitation-exchange part; the per-sideband breakdown carries one
-    contribution per m for diagnostics.  Totals are the exact sums of their
-    breakdown arrays.
+    excitation-exchange part.  Only the per-sideband breakdowns are stored,
+    one contribution per m = ``m_values``; each total is the sum of its
+    breakdown, computed on every read.
     """
 
-    c_pp: float
-    c_pm: float
-    m_values: np.ndarray
     breakdown_pp: np.ndarray
     breakdown_pm: np.ndarray
+
+    @property
+    def c_pp(self) -> float:
+        return float(self.breakdown_pp.sum())
+
+    @property
+    def c_pm(self) -> float:
+        return float(self.breakdown_pm.sum())
+
+    @property
+    def m_values(self) -> np.ndarray:
+        half = (self.breakdown_pp.size - 1) // 2
+        return np.arange(-half, half + 1)
 
 
 @dataclass(frozen=True)
@@ -78,13 +105,14 @@ class ChannelSet:
     Operators are 4x4 matrices in the ordering {|++>, |+->, |-+>, |-->};
     all six jump operators are unit-normalized symmetric/antisymmetric
     one-atom combinations so the channel rates are the physical collective
-    (superradiant/subradiant) rates.  ``operators`` is one read-only array
-    shared by every channel set.
+    (superradiant/subradiant) rates.  ``operators`` and ``labels`` belong to
+    the class: one read-only array and one tuple shared by every channel set,
+    in the order of ``rates``.
     """
 
     rates: np.ndarray
-    operators: np.ndarray
-    labels: tuple
+    operators = _JUMP_OPERATORS
+    labels = _CHANNEL_LABELS
 
     def __iter__(self):
         return iter(zip(self.rates, self.operators))
@@ -114,7 +142,7 @@ def matrix_elements(sol: FloquetSolution) -> MatrixElementTable:
     truncation = min(2 * sol.truncation, n // 2 - 1)
     spectrum = _sigma_x_spectrum(sol)
     indexes = np.arange(-truncation, truncation + 1) % n
-    return MatrixElementTable(entries=spectrum[:, :, indexes], truncation=truncation)
+    return MatrixElementTable(entries=spectrum[:, :, indexes])
 
 
 def _require_converged(terms: np.ndarray, scale: float, table: MatrixElementTable, sums: str) -> None:
@@ -159,13 +187,7 @@ def coupling_coefficients(
 
     scale = max(abs(breakdown_pp.sum()), abs(breakdown_pm.sum()))
     _require_converged(np.stack([breakdown_pp, breakdown_pm]), scale, table, "coupling-coefficient")
-    return CouplingCoefficients(
-        c_pp=float(breakdown_pp.sum()),
-        c_pm=float(breakdown_pm.sum()),
-        m_values=ms,
-        breakdown_pp=breakdown_pp,
-        breakdown_pm=breakdown_pm,
-    )
+    return CouplingCoefficients(breakdown_pp=breakdown_pp, breakdown_pm=breakdown_pm)
 
 
 def build_hdp2(coeff: CouplingCoefficients) -> np.ndarray:
@@ -174,31 +196,17 @@ def build_hdp2(coeff: CouplingCoefficients) -> np.ndarray:
     c_++ weights the parity pattern (+1, -1, -1, +1) on the diagonal and
     c_+- the exchange coupling between |+-> and |-+>.
     """
-    if not (np.isfinite(coeff.c_pp) and np.isfinite(coeff.c_pm)):
+    c_pp, c_pm = coeff.c_pp, coeff.c_pm
+    if not (np.isfinite(c_pp) and np.isfinite(c_pm)):
         raise ValueError("coefficients must be finite")
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = coeff.c_pp
-    h[1, 1] = -coeff.c_pp
-    h[2, 2] = -coeff.c_pp
-    h[3, 3] = coeff.c_pp
-    h[1, 2] = coeff.c_pm
-    h[2, 1] = coeff.c_pm
+    h[0, 0] = c_pp
+    h[1, 1] = -c_pp
+    h[2, 2] = -c_pp
+    h[3, 3] = c_pp
+    h[1, 2] = c_pm
+    h[2, 1] = c_pm
     return h
-
-
-# The six unit-normalized symmetric/antisymmetric one-atom combinations.
-_JUMP_OPERATORS = np.stack(
-    [pair for op in (SIGMA_Z, SIGMA_MINUS, SIGMA_MINUS.conj().T) for pair in collective_pair(op)]
-)
-_JUMP_OPERATORS.flags.writeable = False
-_CHANNEL_LABELS = (
-    "population symmetric",
-    "population antisymmetric",
-    "lowering symmetric",
-    "lowering antisymmetric",
-    "raising symmetric",
-    "raising antisymmetric",
-)
 
 
 def _sequential_sum(terms: np.ndarray) -> np.ndarray:
@@ -233,4 +241,4 @@ def build_channels(
     tot_dif = _sequential_sum(weights * (g11 - g12))
     _require_converged(weights * (np.abs(g11) + np.abs(g12)), max(tot_sum), table, "decay-rate")
     rates = np.stack([tot_sum, tot_dif], axis=1).reshape(-1)
-    return ChannelSet(rates=rates, operators=_JUMP_OPERATORS, labels=_CHANNEL_LABELS)
+    return ChannelSet(rates=rates)

@@ -148,7 +148,7 @@ class TimeGrid:
             raise ValueError("period must be positive and finite")
 
     @classmethod
-    def for_drive(cls, drive: DriveParams, n_samples: int = 1024) -> "TimeGrid":
+    def for_drive(cls, drive: DriveParams, n_samples: int) -> "TimeGrid":
         return cls(n_samples=n_samples, period=drive.period)
 
     def times(self) -> np.ndarray:
@@ -160,12 +160,10 @@ class DressedStates:
     """Weak-drive (rotating wave) dressed-state reference.
 
     ``cos(theta_m) = -detuning / omega_gen`` with ``theta_m`` in [0, pi];
-    the unfolded quasienergies are ``(omega +- omega_gen) / 2``.
+    the unfolded weak-drive quasienergies are ``(omega +- omega_gen) / 2``.
     """
 
     theta_m: float
-    mu_plus: float
-    mu_minus: float
     omega_gen: float
 
     def plus_state(self) -> np.ndarray:
@@ -187,7 +185,8 @@ class FloquetSolution:
     quasienergies of an SU(2) monodromy are a +- pair.  ``modes[b, k]`` is the
     periodic mode phi_b(t_k) in the bare basis; ``fourier[b, truncation + n]``
     is the Fourier amplitude phi_b^(n) with phi(t) = sum_n phi^(n) e^{i n w t},
-    for |n| <= truncation.
+    for |n| <= truncation, the sideband cutoff read from the shape of
+    ``fourier``.
     """
 
     drive: DriveParams
@@ -195,11 +194,14 @@ class FloquetSolution:
     mu_plus: float
     modes: np.ndarray
     fourier: np.ndarray
-    truncation: int
 
     @property
     def mu_minus(self) -> float:
         return -self.mu_plus
+
+    @property
+    def truncation(self) -> int:
+        return (self.fourier.shape[1] - 1) // 2
 
     def sideband_weights(self, branch: int) -> np.ndarray:
         """|phi^(n)|^2 summed over components, n = -truncation..truncation."""
@@ -291,12 +293,7 @@ def dressed_states(drive: DriveParams) -> DressedStates:
             "omega_gen = 0: resonant undriven atom has no dressed basis"
         )
     theta = float(np.arccos(np.clip(-drive.detuning / omega_gen, -1.0, 1.0)))
-    return DressedStates(
-        theta_m=theta,
-        mu_plus=0.5 * (drive.omega + omega_gen),
-        mu_minus=0.5 * (drive.omega - omega_gen),
-        omega_gen=omega_gen,
-    )
+    return DressedStates(theta_m=theta, omega_gen=omega_gen)
 
 
 @functools.lru_cache(maxsize=1)
@@ -388,7 +385,6 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
         mu_plus=mus[plus],
         modes=modes,
         fourier=fourier,
-        truncation=m_kept,
     )
 
 
@@ -396,7 +392,7 @@ def quasienergy_magnitude_map(
     rabi_values: np.ndarray,
     omega_eg_values: np.ndarray,
     omega: float,
-    n_samples: int = 512,
+    n_samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """|mu_+| and cos(mu_+ T) on a (rabi, omega_eg) parameter grid.
 

@@ -303,6 +303,7 @@ class FmeObeComparison:
     ``DRESSED_PAIR_LABELS``; the smoothed Bloch populations carry a centered
     moving average over ``window_samples`` report steps (10/omega_gen
     rounded to steps, then up to odd) and align with ``times[interior]``.
+    ``window_samples`` and ``max_deviation`` are read from the stored arrays.
     """
 
     times: np.ndarray
@@ -310,8 +311,15 @@ class FmeObeComparison:
     pop_obe: np.ndarray
     pop_obe_smoothed: np.ndarray
     interior: slice
-    window_samples: int
-    max_deviation: float
+
+    @property
+    def window_samples(self) -> int:
+        return len(self.times) - len(self.pop_obe_smoothed) + 1
+
+    @property
+    def max_deviation(self) -> float:
+        """Largest |FME - smoothed Bloch| population over the interior report times."""
+        return float(np.max(np.abs(self.pop_fme[self.interior] - self.pop_obe_smoothed)))
 
 
 def fme_vs_obe_compare(
@@ -319,8 +327,8 @@ def fme_vs_obe_compare(
     geometry: AtomGeometry,
     bath: BathParams,
     horizon: float,
-    initial_label: str = "+-",
-    n_samples: int = 1024,
+    initial_label: str,
+    n_samples: int,
 ) -> FmeObeComparison:
     """Compare Floquet-Markov and Bloch-equation dynamics for the pair.
 
@@ -376,13 +384,6 @@ def fme_vs_obe_compare(
     # an odd number of samples centres the average on a report time
     window = max(int(round(10.0 / gen.omega_gen / dt_report)), 1) | 1
     smoothed, interior = smoothed_populations(pop_o, window)
-    deviation = float(np.max(np.abs(pop_f[interior] - smoothed)))
     return FmeObeComparison(
-        times=times,
-        pop_fme=pop_f,
-        pop_obe=pop_o,
-        pop_obe_smoothed=smoothed,
-        interior=interior,
-        window_samples=window,
-        max_deviation=deviation,
+        times=times, pop_fme=pop_f, pop_obe=pop_o, pop_obe_smoothed=smoothed, interior=interior
     )

@@ -63,6 +63,13 @@ def number(value) -> float:
     return out
 
 
+def numbers(value) -> list:
+    """A JSON list of numbers, or of such lists, with every entry read by ``number``."""
+    if not isinstance(value, list):
+        raise ValueError(f"must be a list, got {value!r}")
+    return [numbers(entry) if isinstance(entry, list) else number(entry) for entry in value]
+
+
 def integer(value) -> int:
     """The int of an integral JSON number; a fraction or any non-number is refused."""
     if not number(value).is_integer():
@@ -129,10 +136,10 @@ def _parse_geometry(block) -> AtomGeometry:
             )
         if "dipole_axis" not in block:
             raise ScenarioError("geometry.positions requires 'dipole_axis'")
+        positions = _read(block, "positions", "geometry", numbers)
+        axis = _read(block, "dipole_axis", "geometry", numbers)
         try:
-            return AtomGeometry.from_positions(
-                block["positions"], dipole_mag=dipole, dipole_axis=block["dipole_axis"]
-            )
+            return AtomGeometry.from_positions(positions, dipole_mag=dipole, dipole_axis=axis)
         except ValueError as err:
             raise ScenarioError(f"invalid geometry block: {err}") from err
     if "dipole_axis" in block:

@@ -35,19 +35,24 @@ HIERARCHY_MARGIN = 10.0
 class TimescaleReport:
     """Hierarchy of the four relevant time scales for one scenario.
 
-    ``hierarchy_ok`` demands tau_omega <= tau_mu / HIERARCHY_MARGIN and
-    tau_mu <= tau_s / HIERARCHY_MARGIN (the "much smaller than" orderings).
-    ``margin_low`` is tau_mu/tau_omega and ``margin_high`` is tau_s/tau_mu;
-    both may be infinite.
+    ``tau_mu``, ``tau_s`` and ``tau_omega_gen`` may be infinite.
+    ``hierarchy_ok``, read from the scales, demands tau_mu / tau_omega >=
+    HIERARCHY_MARGIN and tau_s >= HIERARCHY_MARGIN * tau_mu (the "much
+    smaller than" orderings); an infinite tau_mu violates it.
     """
 
     tau_omega: float
     tau_mu: float
     tau_s: float
     tau_omega_gen: float
-    hierarchy_ok: bool
-    margin_low: float
-    margin_high: float
+
+    @property
+    def hierarchy_ok(self) -> bool:
+        return bool(
+            np.isfinite(self.tau_mu)
+            and self.tau_mu / self.tau_omega >= HIERARCHY_MARGIN
+            and self.tau_s >= HIERARCHY_MARGIN * self.tau_mu
+        )
 
 
 def _min_spacing(omega: float, mu_abs):
@@ -117,7 +122,7 @@ def scan_tau_map(
     rabi_values,
     omega_eg_values,
     omega: float,
-    n_samples: int = 512,
+    n_samples: int,
     threads: int = 1,
 ) -> TauMap:
     """Vectorized tau_mu^-1 map over drive strength and atomic splitting.
@@ -130,8 +135,6 @@ def scan_tau_map(
     """
     rabi = np.asarray(rabi_values, dtype=float)
     omega_eg = np.asarray(omega_eg_values, dtype=float)
-    if rabi.size == 0 or omega_eg.size == 0:
-        raise ValueError("scan grids must be non-empty")
     if np.any(rabi < 0.0) or np.any(omega_eg <= 0.0):
         raise ValueError("rabi must be >= 0 and omega_eg > 0 everywhere")
     if threads < 1:
@@ -165,7 +168,7 @@ def timescale_report(
     drive: DriveParams,
     geometry: AtomGeometry,
     bath: BathParams,
-    n_samples: int = 1024,
+    n_samples: int,
 ) -> TimescaleReport:
     """Assemble the time-scale hierarchy for one physical scenario.
 
@@ -190,20 +193,4 @@ def timescale_report(
         t_gen = np.inf
     interaction = abs(omega_dd(drive.omega_eg, geometry))
     tau_s = np.inf if interaction == 0.0 else 1.0 / interaction
-
-    margin_low = t_mu / tau_omega
-    margin_high = tau_s / t_mu if np.isfinite(t_mu) else 0.0
-    ok = bool(
-        np.isfinite(t_mu)
-        and margin_low >= HIERARCHY_MARGIN
-        and tau_s >= HIERARCHY_MARGIN * t_mu
-    )
-    return TimescaleReport(
-        tau_omega=tau_omega,
-        tau_mu=t_mu,
-        tau_s=tau_s,
-        tau_omega_gen=t_gen,
-        hierarchy_ok=ok,
-        margin_low=margin_low,
-        margin_high=margin_high,
-    )
+    return TimescaleReport(tau_omega=tau_omega, tau_mu=t_mu, tau_s=tau_s, tau_omega_gen=t_gen)

@@ -238,6 +238,20 @@ class TestErrorPaths:
         assert run(subcommand, scenario, tmp_path / "out") == 1
         assert key in capsys.readouterr().err
 
+    # Position and axis entries are numbers: strings and booleans are refused, not converted.
+    @pytest.mark.parametrize(
+        "task, key",
+        [
+            ({**spin_task(3), "positions": [[0.0, 0.0, 0.0], ["1e-5", 0.0, 0.0], [2e-5, 0.0, 0.0]]}, "task.positions"),
+            (spin_task(3, axis=[False, False, True]), "task.dipole_axis"),
+            (spin_task(3, axis=["0", "0", "1"]), "task.dipole_axis"),
+        ],
+        ids=["positions-str", "axis-bool", "axis-str"],
+    )
+    def test_spinmodel_position_entries_must_be_numbers(self, tmp_path, capsys, task, key):
+        assert run("spinmodel", write_scenario(tmp_path, task=task), tmp_path / "out") == 1
+        assert f"invalid {key}: must be a number" in capsys.readouterr().err
+
     def test_long_evolve_horizon_exit_two(self, tmp_path, capsys):
         # ||L|| t_final = 2e7 on the Bloch pair: round-off loses the trace
         task = {"model": "obe", "t_final": 0.1, "n_times": 3, "initial_state": "gg"}

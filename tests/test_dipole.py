@@ -132,7 +132,7 @@ class TestCouplingCoefficients:
         sol = solve(0.5 * OMEGA, OMEGA)
         full = matrix_elements(sol)
         c = full.truncation
-        tight = MatrixElementTable(entries=full.entries[:, :, c - 3 : c + 4], truncation=3)
+        tight = MatrixElementTable(entries=full.entries[:, :, c - 3 : c + 4])
         with pytest.raises(SidebandTruncationError):
             coupling_coefficients(tight, sol, RYDBERG)
         for temperature in (0.0, 1.0):
@@ -144,13 +144,7 @@ class TestBuildHdp2:
     def test_eigenvalues(self):
         from floquetdd.dipole import CouplingCoefficients
 
-        coeff = CouplingCoefficients(
-            c_pp=2.0,
-            c_pm=0.5,
-            m_values=np.array([0]),
-            breakdown_pp=np.array([2.0]),
-            breakdown_pm=np.array([0.5]),
-        )
+        coeff = CouplingCoefficients(breakdown_pp=np.array([2.0]), breakdown_pm=np.array([0.5]))
         h = build_hdp2(coeff)
         np.testing.assert_allclose(h, h.conj().T)
         eigs = np.sort(np.linalg.eigvalsh(h))
@@ -160,13 +154,7 @@ class TestBuildHdp2:
         from floquetdd.dipole import CouplingCoefficients
 
         w = 3.0
-        coeff = CouplingCoefficients(
-            c_pp=w / 2,
-            c_pm=w / 2,
-            m_values=np.array([0]),
-            breakdown_pp=np.array([w / 2]),
-            breakdown_pm=np.array([w / 2]),
-        )
+        coeff = CouplingCoefficients(breakdown_pp=np.array([w / 2]), breakdown_pm=np.array([w / 2]))
         h = build_hdp2(coeff)
         block = h[1:3, 1:3]
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(block)), [-w, 0.0], atol=1e-14)

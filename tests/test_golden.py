@@ -52,6 +52,12 @@ RETARDED = {
     "bath": {"temperature": 0.0},
 }
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+# The Rydberg pair with its positions written as strings and its axis as booleans.
+STRING_POSITIONS = {
+    "positions": [["0", "0", "0"], ["4e-5", "0", "0"]],
+    "dipole_axis": [False, False, True],
+    "dipole_ea0": 1000.0,
+}
 
 TAUMAP_TASK = {
     "rabi_over_omega_min": 0.0,
@@ -140,6 +146,12 @@ def _runs() -> dict:
                 _with(RYDBERG, task={"positions": _spin_task(2)["positions"]}),
             ),
             "exit1-compare-horizon": ("compare", _with(RYDBERG, task={"horizon": 0})),
+            # Position entries are numbers: a string or a boolean is refused, not converted.
+            "exit1-geometry-positions-str": ("coefficients", _with(RYDBERG, geometry=STRING_POSITIONS)),
+            "exit1-spinmodel-axis-bool": (
+                "spinmodel",
+                _with(RYDBERG, task={**_spin_task(3), "dipole_axis": [False, False, True]}),
+            ),
             # exit 2: physics-domain refusals
             "exit2-degenerate": ("floquet", _with(RYDBERG, drive=undriven_resonant)),
             "exit2-near-degenerate": ("floquet", _with(RYDBERG, drive=undriven_near_edge)),

@@ -295,7 +295,7 @@ class TestCoarseGrainedCoefficients:
 class TestComparison:
     def test_rydberg_scenario_agrees(self):
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
-        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, horizon=3e-5)
+        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 3e-5, "+-", 1024)
         assert comparison.max_deviation <= 0.05
         # populations must show the excitation exchange actually happening
         assert comparison.pop_fme[:, 2].max() > 0.5
@@ -303,7 +303,7 @@ class TestComparison:
     def test_undriven_resonant_refused(self):
         drive = DriveParams(omega=1e10, rabi=0.0, omega_eg=1e10)
         with pytest.raises(HierarchyViolationError):
-            fme_vs_obe_compare(drive, RYDBERG, VACUUM, horizon=1e-5)
+            fme_vs_obe_compare(drive, RYDBERG, VACUUM, 1e-5, "+-", 1024)
 
     def test_smoothing_window_alignment(self):
         pops = np.ones((40, 4))
@@ -317,7 +317,7 @@ class TestComparison:
     def test_window_samples_is_the_averaged_count(self):
         # at 1e-6 s the computed window is even (40); the average takes 41
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
-        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, horizon=1e-6)
+        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 1e-6, "+-", 1024)
         window = comparison.window_samples
         assert window == 41
         assert comparison.times.size - comparison.pop_obe_smoothed.shape[0] + 1 == window
@@ -375,13 +375,13 @@ class TestComparison:
 
     def test_exchange_symmetry_under_both_models(self):
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
-        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, horizon=5e-6)
+        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 5e-6, "+-", 1024)
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
         # symmetric initial state: (|+-> + |-+>)/sqrt(2) not offered via label,
         # so check instead that the |+-> start maps onto |-+> under swap in
         # both trajectories (exchange covariance of identical atoms)
-        sym_start = fme_vs_obe_compare(drive, RYDBERG, VACUUM, horizon=5e-6, initial_label="-+")
+        sym_start = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 5e-6, "-+", 1024)
         np.testing.assert_allclose(
             comparison.pop_fme[:, [0, 2, 1, 3]], sym_start.pop_fme, atol=1e-8
         )

@@ -104,6 +104,23 @@ class TestScenarioParsing:
         data["geometry"]["positions"] = [[0, 0, 0], [0, 0, 1]]
         with pytest.raises(ScenarioError):
             parse_scenario_dict(data)
+        # Position and axis entries are numbers: strings and booleans are
+        # refused, not converted, and the refusal names the key.
+        pair = [[0, 0, 0], [4e-5, 0, 0]]
+        for positions, axis, key in (
+            ([["0", "0", "0"], ["4e-5", "0", "0"]], [0, 0, 1], "geometry.positions"),
+            ([[0, 0, 0], ["1e-5", 0, 0]], [0, 0, 1], "geometry.positions"),
+            (pair, [False, False, True], "geometry.dipole_axis"),
+            (pair, ["0", "0", "1"], "geometry.dipole_axis"),
+            (pair, "001", "geometry.dipole_axis"),
+        ):
+            data["geometry"] = {"positions": positions, "dipole_axis": axis, "dipole_ea0": 1000.0}
+            with pytest.raises(ScenarioError, match=re.escape(f"invalid {key}: must be a")):
+                parse_scenario_dict(data)
+        # An axis nested one level too deep is no 3-vector.
+        data["geometry"]["dipole_axis"] = [[0, 0, 1]]
+        with pytest.raises(ScenarioError, match="dipole_axis must be a nonzero 3-vector"):
+            parse_scenario_dict(data)
 
     def test_missing_block(self):
         data = base_scenario()

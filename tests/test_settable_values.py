@@ -15,7 +15,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "floquetdd"
-CEILING = 73
+CEILING = 53
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

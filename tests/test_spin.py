@@ -165,13 +165,7 @@ class TestSpinHamiltonian:
         theta = dressed_states(self.DRIVE).theta_m
         w = omega_dd(1e10, self.GEOM)
         c_pp, c_pm = coarse_grained_coefficients(theta, w)
-        coeff = CouplingCoefficients(
-            c_pp=c_pp,
-            c_pm=c_pm,
-            m_values=np.array([0]),
-            breakdown_pp=np.array([c_pp]),
-            breakdown_pm=np.array([c_pm]),
-        )
+        coeff = CouplingCoefficients(breakdown_pp=np.array([c_pp]), breakdown_pm=np.array([c_pm]))
         h_dressed = build_hdp2(coeff)
         ds = dressed_states(self.DRIVE)
         w1 = np.stack([ds.plus_state(), ds.minus_state()], axis=1)
