@@ -78,11 +78,14 @@ class AtomGeometry:
         if pos.shape != (2, 3):
             raise ValueError("expected exactly two 3-vectors")
         axis = np.asarray(dipole_axis, dtype=float)
-        norm = np.linalg.norm(axis)
+        with np.errstate(over="ignore"):  # a length that overflows is refused below
+            norm = np.linalg.norm(axis)
+            rvec = pos[1] - pos[0]
+            r = float(np.linalg.norm(rvec))
         if axis.shape != (3,) or not (np.isfinite(norm) and norm > 0.0):
             raise ValueError("dipole_axis must be a nonzero 3-vector")
-        rvec = pos[1] - pos[0]
-        r = float(np.linalg.norm(rvec))
+        if not np.isfinite(r):
+            raise ValueError("separation must be positive and finite")
         if r <= 0.0:
             raise ValueError("atoms must not coincide")
         cos_t = abs(float(np.dot(axis / norm, rvec / r)))

@@ -13,6 +13,7 @@ byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass
@@ -35,7 +36,10 @@ from .lindblad import (
     obe_reference,
     steady_state,
 )
-from .scenario import Scenario, integer, load_scenario, number, numbers, task_params
+from .scenario import (
+    REQUIRED, Scenario, integer, load_scenario, non_negative, numbers, one_of, positive, read_block,
+    within,
+)
 from .spin import build_spin_hamiltonian, j_tensor, pair_geometries_from_positions, pair_tensors
 from .validity import scan_tau_map, timescale_report
 
@@ -129,12 +133,35 @@ def _run_channels(scenario: Scenario) -> _Run:
 # product Floquet basis (DRESSED_PAIR_LABELS) and the bare OBE basis.
 _BASES = {"fme": ("pp", "pm", "mp", "mm"), "obe": ("ee", "eg", "ge", "gg")}
 
-
-def _model_name(value) -> str:
-    """task.model: one of the keys of ``_BASES``."""
-    if not isinstance(value, str) or value not in _BASES:
-        raise ValueError("must be 'fme' or 'obe'")
-    return value
+# The task keys of each subcommand that reads its task block, as read by
+# ``scenario.read_block``; a subcommand not listed ignores the block.
+TASK_KEYS = {
+    "evolve": {
+        "model": (one_of(*_BASES), REQUIRED),
+        "t_final": (positive, REQUIRED),
+        "n_times": (within(integer, 2, math.inf), 201),
+        "initial_state": (one_of(*_BASES["fme"], *_BASES["obe"]), REQUIRED),
+    },
+    "steady": {"model": (one_of(*_BASES), REQUIRED)},
+    "spinmodel": {
+        "n_atoms": (within(integer, 2, 6), 2),
+        "positions": (numbers, None),
+        "dipole_axis": (numbers, None),
+        "evaluate_at": (one_of("drive", "atom"), "drive"),
+    },
+    "taumap": {
+        "rabi_over_omega_min": (non_negative, REQUIRED),
+        "rabi_over_omega_max": (non_negative, REQUIRED),
+        "n_rabi": (within(integer, 1, math.inf), REQUIRED),
+        "omega_eg_over_omega_min": (positive, REQUIRED),
+        "omega_eg_over_omega_max": (positive, REQUIRED),
+        "n_omega_eg": (within(integer, 1, math.inf), REQUIRED),
+    },
+    "compare": {
+        "horizon": (positive, REQUIRED),
+        "initial_state": (one_of(*DRESSED_PAIR_LABELS), "+-"),
+    },
+}
 
 
 def _model(scenario: Scenario, name: str):
@@ -148,7 +175,7 @@ def _initial_state(label: str, model: str) -> np.ndarray:
     states = _BASES[model]
     if label not in states:
         raise ScenarioError(
-            f"initial_state must be one of {sorted(states)} for model '{model}'"
+            f"invalid task.initial_state: must be one of {list(states)} for model '{model}'"
         )
     k = states.index(label)
     rho = np.zeros((4, 4), dtype=complex)
@@ -157,25 +184,11 @@ def _initial_state(label: str, model: str) -> np.ndarray:
 
 
 def _run_evolve(scenario: Scenario) -> _Run:
-    params = task_params(
-        scenario,
-        {
-            "model": (True, _model_name),
-            "t_final": (True, number),
-            "n_times": (False, integer),
-            "initial_state": (True, str),
-        },
-        "evolve",
-    )
+    params = read_block(scenario.task, TASK_KEYS["evolve"], "task")
     model_name = params["model"]
-    if params["t_final"] <= 0.0:
-        raise ScenarioError("task.t_final must be positive")
-    n_times = params.get("n_times", 201)
-    if n_times < 2:
-        raise ScenarioError("task.n_times must be at least 2")
     model = _model(scenario, model_name)
     rho0 = _initial_state(params["initial_state"], model_name)
-    times = np.linspace(0.0, params["t_final"], n_times)
+    times = np.linspace(0.0, params["t_final"], params["n_times"])
     traj = evolve(model, rho0, times)
     pops = np.real(np.einsum("tii->ti", traj))
     basis = _BASES[model_name]
@@ -193,7 +206,7 @@ def _run_evolve(scenario: Scenario) -> _Run:
 
 
 def _run_steady(scenario: Scenario) -> _Run:
-    params = task_params(scenario, {"model": (True, _model_name)}, "steady")
+    params = read_block(scenario.task, TASK_KEYS["steady"], "task")
     rho = steady_state(_model(scenario, params["model"]))
     table = Table(
         columns=("row", "col", "real", "imag"),
@@ -205,29 +218,15 @@ def _run_steady(scenario: Scenario) -> _Run:
 
 
 def _run_spinmodel(scenario: Scenario) -> _Run:
-    params = task_params(
-        scenario,
-        {
-            "n_atoms": (False, integer),
-            "positions": (False, numbers),
-            "dipole_axis": (False, numbers),
-            "evaluate_at": (False, str),
-        },
-        "spinmodel",
-    )
-    n_atoms = params.get("n_atoms", 2)
-    if not 2 <= n_atoms <= 6:
-        raise ScenarioError("task.n_atoms must lie in 2..6")
-    evaluate_at = params.get("evaluate_at", "drive")
-    if evaluate_at not in ("drive", "atom"):
-        raise ScenarioError("task.evaluate_at must be 'drive' or 'atom'")
+    params = read_block(scenario.task, TASK_KEYS["spinmodel"], "task")
+    n_atoms, evaluate_at = params["n_atoms"], params["evaluate_at"]
     for key, other in (("positions", "dipole_axis"), ("dipole_axis", "positions")):
-        if key in params and other not in params:
+        if params[key] is not None and params[other] is None:
             raise ScenarioError(f"spinmodel with task.{key} requires task.{other}")
-    if n_atoms == 2 and "positions" not in params:
+    if n_atoms == 2 and params["positions"] is None:
         pair_geoms = {(0, 1): scenario.geometry}
     else:
-        if "positions" not in params:
+        if params["positions"] is None:
             raise ScenarioError(
                 "spinmodel with n_atoms != 2 requires task.positions and task.dipole_axis"
             )
@@ -265,37 +264,18 @@ def _run_spinmodel(scenario: Scenario) -> _Run:
 
 
 def _run_taumap(scenario: Scenario, threads: int) -> _Run:
-    params = task_params(
-        scenario,
-        {
-            "rabi_over_omega_min": (True, number),
-            "rabi_over_omega_max": (True, number),
-            "n_rabi": (True, integer),
-            "omega_eg_over_omega_min": (True, number),
-            "omega_eg_over_omega_max": (True, number),
-            "n_omega_eg": (True, integer),
-        },
-        "taumap",
-    )
-    for key in ("n_rabi", "n_omega_eg"):
-        if params[key] < 1:
-            raise ScenarioError(f"task.{key} must be positive")
-    for key in ("rabi_over_omega_min", "rabi_over_omega_max"):
-        if params[key] < 0.0:
-            raise ScenarioError(f"task.{key} must be non-negative")
-    for key in ("omega_eg_over_omega_min", "omega_eg_over_omega_max"):
-        if params[key] <= 0.0:
-            raise ScenarioError(f"task.{key} must be positive")
+    params = read_block(scenario.task, TASK_KEYS["taumap"], "task")
     omega = scenario.drive.omega
+    # the four grid bounds in rad/s
+    bounds = {key: params[key] * omega for key in params if key.endswith(("_min", "_max"))}
+    for key, value in bounds.items():
+        if not math.isfinite(value):
+            raise ScenarioError(f"invalid task.{key}: {params[key]!r} times drive.omega overflows")
     rabi = np.linspace(
-        params["rabi_over_omega_min"] * omega,
-        params["rabi_over_omega_max"] * omega,
-        params["n_rabi"],
+        bounds["rabi_over_omega_min"], bounds["rabi_over_omega_max"], params["n_rabi"]
     )
     omega_eg = np.linspace(
-        params["omega_eg_over_omega_min"] * omega,
-        params["omega_eg_over_omega_max"] * omega,
-        params["n_omega_eg"],
+        bounds["omega_eg_over_omega_min"], bounds["omega_eg_over_omega_max"], params["n_omega_eg"]
     )
     tau_map = scan_tau_map(
         rabi, omega_eg, omega, n_samples=scenario.n_samples, threads=threads
@@ -320,18 +300,8 @@ def _run_taumap(scenario: Scenario, threads: int) -> _Run:
 
 
 def _run_compare(scenario: Scenario) -> _Run:
-    params = task_params(
-        scenario,
-        {"horizon": (True, number), "initial_state": (False, str)},
-        "compare",
-    )
-    if params["horizon"] <= 0.0:
-        raise ScenarioError("task.horizon must be positive")
-    label = params.get("initial_state", "+-")
-    if label not in DRESSED_PAIR_LABELS:
-        raise ScenarioError(
-            f"task.initial_state must be one of {list(DRESSED_PAIR_LABELS)} for compare"
-        )
+    params = read_block(scenario.task, TASK_KEYS["compare"], "task")
+    label = params["initial_state"]
     comparison = fme_vs_obe_compare(
         scenario.drive,
         scenario.geometry,

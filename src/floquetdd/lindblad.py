@@ -334,7 +334,9 @@ def fme_vs_obe_compare(
 
     Refuses (raising :class:`HierarchyViolationError`) unless the weak
     drive hierarchy 1/omega << 1/omega_gen << 1/|omega_dd| holds by
-    ``HIERARCHY_MARGIN`` and the quasienergy-spacing time scale is finite.
+    ``HIERARCHY_MARGIN`` and the quasienergy-spacing time scale is finite,
+    and (raising :class:`PhysicsError`) a ``horizon`` shorter than the
+    10/omega_gen smoothing window, before anything is evolved.
     Both models start in the same dressed product state and are advanced
     with :func:`evolve` on the uniform report grid; the
     Bloch trajectory is rotated into the dressed basis and smoothed over a
@@ -354,6 +356,13 @@ def fme_vs_obe_compare(
             f"(margin factor {HIERARCHY_MARGIN})"
         )
     gen = dressed_states(drive)
+    # the Bloch populations are averaged over 10/omega_gen, which must fit in the horizon
+    smoothing = float(10.0 / gen.omega_gen)
+    if horizon < smoothing:
+        raise PhysicsError(
+            f"horizon {float(horizon)!r} s is shorter than the 10/omega_gen window that smooths "
+            f"the Bloch populations; give a horizon of at least {smoothing!r} s"
+        )
 
     if initial_label not in DRESSED_PAIR_LABELS:
         raise ValueError(f"initial_label must be one of {sorted(DRESSED_PAIR_LABELS)}")
@@ -382,7 +391,7 @@ def fme_vs_obe_compare(
 
     dt_report = times[1] - times[0]
     # an odd number of samples centres the average on a report time
-    window = max(int(round(10.0 / gen.omega_gen / dt_report)), 1) | 1
+    window = max(int(round(smoothing / dt_report)), 1) | 1
     smoothed, interior = smoothed_populations(pop_o, window)
     return FmeObeComparison(
         times=times, pop_fme=pop_f, pop_obe=pop_o, pop_obe_smoothed=smoothed, interior=interior

@@ -1,10 +1,24 @@
 """Strict scenario-file parsing.
 
 Scenarios are JSON with nested blocks (drive, geometry, bath, optional
-numerics and task).  Parsing is strict: unknown keys are rejected with a
-message naming the offender, physical quantities have no defaults, and the
-frequency convention must be declared explicitly ("angular" values are
-rad/s as given, "ordinary" values are Hz and get multiplied by 2 pi).
+numerics and task).  One function, ``read_block``, reads every block, the
+top level and each subcommand's task from a table ``{key: (reader,
+default)}``.  A reader takes the JSON value and returns the parsed value or
+raises ``ValueError``/``TypeError`` with the reason; readers are strict and
+coerce nothing (``number`` refuses strings and booleans).  A key whose
+default is ``REQUIRED`` must be given; any other absent key takes its
+default.  Every refusal of a single key takes one of three forms:
+
+    unknown key '<block>.<key>'
+    missing key '<block>.<key>'
+    invalid <block>.<key>: <reason>
+
+Only rules across keys are written out by hand: exactly one of
+``omega_eg``/``detuning`` and of ``dipole_mag``/``dipole_ea0``, and
+``positions``/``dipole_axis`` against ``separation``/``theta_d``.
+Physical quantities have no defaults, and the frequency convention must be
+declared explicitly ("angular" values are rad/s as given, "ordinary" values
+are Hz and get multiplied by 2 pi).
 """
 
 from __future__ import annotations
@@ -19,11 +33,8 @@ from .bath import E_A0, AtomGeometry, BathParams
 from .errors import ScenarioError
 from .floquet import DriveParams, check_n_samples
 
-_TOP_KEYS = {"drive", "geometry", "bath", "numerics", "task"}
-_DRIVE_KEYS = {"omega", "rabi", "omega_eg", "detuning", "frequency_convention"}
-_GEOMETRY_KEYS = {"separation", "theta_d", "dipole_mag", "dipole_ea0", "positions", "dipole_axis"}
-_BATH_KEYS = {"temperature"}
-_NUMERICS_KEYS = {"n_samples"}
+# The default of a key that must be given.
+REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -32,7 +43,8 @@ class Scenario:
 
     ``n_samples`` is ``numerics.n_samples``, the one numerical setting.  The
     sideband truncation is not a setting: ``floquet_solve`` chooses it from
-    the discarded Fourier weight.
+    the discarded Fourier weight.  ``task`` is the task block unread: each
+    subcommand reads it with its own table.
     """
 
     drive: DriveParams
@@ -43,11 +55,29 @@ class Scenario:
     raw: dict
 
 
-def _reject_unknown(block: dict, allowed: set, context: str) -> None:
-    """Refuse keys outside ``allowed``, named as ``<context>.<key>`` like every invalid value."""
+def read_block(block: dict, keys: dict, context: str) -> dict:
+    """Every key of ``keys``, read from the JSON object ``block``.
+
+    ``keys`` maps each allowed key to ``(reader, default)``; ``context`` is
+    the block's name in refusals (``""`` for the top level).  Any other key
+    in ``block`` is refused.
+    """
+    prefix = f"{context}." if context else ""
     for key in block:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key '{context}.{key}'" if context else f"unknown key '{key}'")
+        if key not in keys:
+            raise ScenarioError(f"unknown key '{prefix}{key}'")
+    out = {}
+    for key, (reader, default) in keys.items():
+        if key in block:
+            try:
+                out[key] = reader(block[key])
+            except (TypeError, ValueError) as err:
+                raise ScenarioError(f"invalid {prefix}{key}: {err}") from err
+        elif default is REQUIRED:
+            raise ScenarioError(f"missing key '{prefix}{key}'")
+        else:
+            out[key] = default
+    return out
 
 
 def number(value) -> float:
@@ -77,126 +107,137 @@ def integer(value) -> int:
     return int(value)
 
 
-def _read(block: dict, key: str, context: str, reader):
-    """``reader(block[key])``, its refusal turned into a ScenarioError naming the key."""
+def positive(value) -> float:
+    """A number above zero."""
+    out = number(value)
+    if out <= 0.0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return out
+
+
+def within(reader, lo: float, hi: float):
+    """The reader of a ``reader`` value in [lo, hi]."""
+
+    def read(value):
+        out = reader(value)
+        if not lo <= out <= hi:
+            raise ValueError(f"must lie in [{lo:g}, {hi:g}], got {value!r}")
+        return out
+
+    return read
+
+
+def one_of(*choices: str):
+    """The reader of a string among ``choices``."""
+    allowed = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+
+    def read(value) -> str:
+        if not (isinstance(value, str) and value in choices):
+            raise ValueError(f"must be {allowed}")
+        return value
+
+    return read
+
+
+non_negative = within(number, 0.0, math.inf)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("must be an object")
+    return value
+
+
+def _n_samples(value) -> int:
+    out = integer(value)
+    check_n_samples(out)
+    return out
+
+
+# The keys of every scenario block; "" is the top level.
+BLOCK_KEYS = {
+    "": {
+        "drive": (_object, REQUIRED),
+        "geometry": (_object, REQUIRED),
+        "bath": (_object, REQUIRED),
+        "numerics": (_object, {}),
+        "task": (_object, {}),
+    },
+    "drive": {
+        "omega": (positive, REQUIRED),
+        "rabi": (non_negative, REQUIRED),
+        "omega_eg": (positive, None),
+        "detuning": (number, None),
+        "frequency_convention": (one_of("angular", "ordinary"), REQUIRED),
+    },
+    "geometry": {
+        "separation": (positive, None),
+        "theta_d": (within(number, 0.0, math.pi), None),
+        "dipole_mag": (positive, None),
+        "dipole_ea0": (positive, None),
+        "positions": (numbers, None),
+        "dipole_axis": (numbers, None),
+    },
+    "bath": {"temperature": (non_negative, REQUIRED)},
+    "numerics": {"n_samples": (_n_samples, 1024)},
+}
+
+
+def _exactly_one(values: dict, context: str, first: str, second: str) -> None:
+    if (values[first] is None) == (values[second] is None):
+        raise ScenarioError(f"{context} needs exactly one of '{first}' or '{second}'")
+
+
+def _parse_drive(block: dict) -> DriveParams:
+    keys = read_block(block, BLOCK_KEYS["drive"], "drive")
+    _exactly_one(keys, "drive", "omega_eg", "detuning")
+    factor = 1.0 if keys["frequency_convention"] == "angular" else 2.0 * np.pi
+    omega, rabi = factor * keys["omega"], factor * keys["rabi"]
     try:
-        return reader(block[key])
-    except (TypeError, ValueError) as err:
-        raise ScenarioError(f"invalid {context}.{key}: {err}") from err
-
-
-def _require_number(block: dict, key: str, context: str) -> float:
-    if key not in block:
-        raise ScenarioError(f"missing key '{key}' in {context}")
-    return _read(block, key, context, number)
-
-
-def _parse_drive(block) -> DriveParams:
-    if not isinstance(block, dict):
-        raise ScenarioError("drive block must be an object")
-    _reject_unknown(block, _DRIVE_KEYS, "drive")
-    convention = block.get("frequency_convention")
-    if convention not in ("angular", "ordinary"):
-        raise ScenarioError(
-            "drive.frequency_convention must be 'angular' or 'ordinary'"
-        )
-    factor = 1.0 if convention == "angular" else 2.0 * np.pi
-    has_eg = "omega_eg" in block
-    has_det = "detuning" in block
-    if has_eg == has_det:
-        raise ScenarioError("drive needs exactly one of 'omega_eg' or 'detuning'")
-    omega = factor * _require_number(block, "omega", "drive")
-    rabi = factor * _require_number(block, "rabi", "drive")
-    try:
-        if has_eg:
-            return DriveParams(omega=omega, rabi=rabi, omega_eg=factor * _require_number(block, "omega_eg", "drive"))
-        return DriveParams.from_detuning(omega=omega, rabi=rabi, detuning=factor * _require_number(block, "detuning", "drive"))
+        if keys["omega_eg"] is not None:
+            return DriveParams(omega=omega, rabi=rabi, omega_eg=factor * keys["omega_eg"])
+        return DriveParams.from_detuning(omega=omega, rabi=rabi, detuning=factor * keys["detuning"])
     except ValueError as err:
         raise ScenarioError(f"invalid drive block: {err}") from err
 
 
-def _parse_geometry(block) -> AtomGeometry:
-    if not isinstance(block, dict):
-        raise ScenarioError("geometry block must be an object")
-    _reject_unknown(block, _GEOMETRY_KEYS, "geometry")
-    has_mag = "dipole_mag" in block
-    has_ea0 = "dipole_ea0" in block
-    if has_mag == has_ea0:
-        raise ScenarioError("geometry needs exactly one of 'dipole_mag' or 'dipole_ea0'")
-    if has_mag:
-        dipole = _require_number(block, "dipole_mag", "geometry")
-    else:
-        dipole = E_A0 * _require_number(block, "dipole_ea0", "geometry")
-
-    has_positions = "positions" in block
-    if has_positions:
-        if "separation" in block or "theta_d" in block:
+def _parse_geometry(block: dict) -> AtomGeometry:
+    keys = read_block(block, BLOCK_KEYS["geometry"], "geometry")
+    _exactly_one(keys, "geometry", "dipole_mag", "dipole_ea0")
+    dipole = keys["dipole_mag"] if keys["dipole_mag"] is not None else E_A0 * keys["dipole_ea0"]
+    try:
+        if keys["positions"] is None:
+            if keys["dipole_axis"] is not None:
+                raise ScenarioError("geometry.dipole_axis is only meaningful with 'positions'")
+            for key in ("separation", "theta_d"):
+                if keys[key] is None:
+                    raise ScenarioError(f"missing key 'geometry.{key}'")
+            return AtomGeometry(
+                separation=keys["separation"], dipole_mag=dipole, theta_d=keys["theta_d"]
+            )
+        if keys["separation"] is not None or keys["theta_d"] is not None:
             raise ScenarioError(
                 "geometry takes either positions/dipole_axis or separation/theta_d, not both"
             )
-        if "dipole_axis" not in block:
+        if keys["dipole_axis"] is None:
             raise ScenarioError("geometry.positions requires 'dipole_axis'")
-        positions = _read(block, "positions", "geometry", numbers)
-        axis = _read(block, "dipole_axis", "geometry", numbers)
-        try:
-            return AtomGeometry.from_positions(positions, dipole_mag=dipole, dipole_axis=axis)
-        except ValueError as err:
-            raise ScenarioError(f"invalid geometry block: {err}") from err
-    if "dipole_axis" in block:
-        raise ScenarioError("geometry.dipole_axis is only meaningful with 'positions'")
-    try:
-        return AtomGeometry(
-            separation=_require_number(block, "separation", "geometry"),
-            dipole_mag=dipole,
-            theta_d=_require_number(block, "theta_d", "geometry"),
+        return AtomGeometry.from_positions(
+            keys["positions"], dipole_mag=dipole, dipole_axis=keys["dipole_axis"]
         )
     except ValueError as err:
         raise ScenarioError(f"invalid geometry block: {err}") from err
 
 
-def _parse_bath(block) -> BathParams:
-    if not isinstance(block, dict):
-        raise ScenarioError("bath block must be an object")
-    _reject_unknown(block, _BATH_KEYS, "bath")
-    try:
-        return BathParams(temperature=_require_number(block, "temperature", "bath"))
-    except ValueError as err:
-        raise ScenarioError(f"invalid bath block: {err}") from err
-
-
-def _parse_n_samples(block) -> int:
-    """numerics.n_samples; 1024 when the block or the key is absent."""
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        raise ScenarioError("numerics block must be an object")
-    _reject_unknown(block, _NUMERICS_KEYS, "numerics")
-    if "n_samples" not in block:
-        return 1024
-    n_samples = _read(block, "n_samples", "numerics", integer)
-    try:
-        check_n_samples(n_samples)
-    except ValueError as err:
-        raise ScenarioError(f"numerics.{err}") from err
-    return n_samples
-
-
 def parse_scenario_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be an object")
-    _reject_unknown(data, _TOP_KEYS, "")
-    for required in ("drive", "geometry", "bath"):
-        if required not in data:
-            raise ScenarioError(f"missing block '{required}' in scenario")
-    task = data.get("task", {})
-    if not isinstance(task, dict):
-        raise ScenarioError("task block must be an object")
+    blocks = read_block(data, BLOCK_KEYS[""], "")
     return Scenario(
-        drive=_parse_drive(data["drive"]),
-        geometry=_parse_geometry(data["geometry"]),
-        bath=_parse_bath(data["bath"]),
-        n_samples=_parse_n_samples(data.get("numerics")),
-        task=dict(task),
+        drive=_parse_drive(blocks["drive"]),
+        geometry=_parse_geometry(blocks["geometry"]),
+        bath=BathParams(**read_block(blocks["bath"], BLOCK_KEYS["bath"], "bath")),
+        n_samples=read_block(blocks["numerics"], BLOCK_KEYS["numerics"], "numerics")["n_samples"],
+        task=dict(blocks["task"]),
         raw=data,
     )
 
@@ -208,18 +249,3 @@ def load_scenario(path) -> Scenario:
     except ValueError as err:  # malformed, or an int beyond Python's digit limit
         raise ScenarioError(f"scenario cannot be read as JSON: {err}") from err
     return parse_scenario_dict(data)
-
-
-def task_params(scenario: Scenario, allowed: dict, context: str) -> dict:
-    """Validate the task block against {key: (required, reader)} specs."""
-    block = scenario.task
-    for key in block:
-        if key not in allowed:
-            raise ScenarioError(f"unknown key 'task.{key}' for {context}")
-    out = {}
-    for key, (required, reader) in allowed.items():
-        if key in block:
-            out[key] = _read(block, key, "task", reader)
-        elif required:
-            raise ScenarioError(f"missing task key '{key}' for {context}")
-    return out

@@ -131,6 +131,8 @@ def _runs() -> dict:
             "exit1-initial-state": ("compare", _with(RYDBERG, task={"horizon": 1e-5, "initial_state": "xx"})),
             "exit1-taumap-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "rabi_over_omega_min": -0.1})),
             "exit1-taumap-n-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "n_rabi": 0})),
+            # 1e300 * drive.omega overflows to inf
+            "exit1-taumap-overflow": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "rabi_over_omega_max": 1e300})),
             "exit1-evolve-model": ("evolve", _with(RYDBERG, task={**evolve_task, "model": "xyz"})),
             "exit1-evolve-t-final": ("evolve", _with(RYDBERG, task={**evolve_task, "t_final": 0})),
             "exit1-evolve-n-times": ("evolve", _with(RYDBERG, task={**evolve_task, "n_times": 1})),
@@ -157,6 +159,8 @@ def _runs() -> dict:
             "exit2-near-degenerate": ("floquet", _with(RYDBERG, drive=undriven_near_edge)),
             "exit2-unresolved-sidebands": ("floquet", _with(RYDBERG, drive=unresolved, numerics={"n_samples": 64})),
             "exit2-compare-undriven": ("compare", _with(RYDBERG, drive=undriven_resonant, task={"horizon": 1e-5})),
+            # shorter than the 10/omega_gen = 1e-7 s window of the Bloch average
+            "exit2-compare-short-horizon": ("compare", _with(RYDBERG, task={"horizon": 5e-8})),
             "exit2-reproduce-undriven": ("reproduce-paper", _with(RYDBERG, drive=undriven_above)),
             "exit2-long-evolve": (
                 "evolve",

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import constants
 
 from floquetdd.errors import ScenarioError
@@ -16,7 +18,16 @@ from floquetdd.io import (
     read_csv,
     read_json,
 )
-from floquetdd.scenario import load_scenario, parse_scenario_dict, task_params
+from floquetdd.cli import TASK_KEYS
+from floquetdd.scenario import (
+    BLOCK_KEYS,
+    REQUIRED,
+    load_scenario,
+    one_of,
+    parse_scenario_dict,
+    positive,
+    read_block,
+)
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 
@@ -158,14 +169,27 @@ class TestScenarioParsing:
         assert sc.n_samples == 1024
         assert sc.task == {"horizon": 3e-5}
 
-    def test_task_params_validation(self):
+    def test_read_block_refusal_forms(self):
+        keys = {"horizon": (positive, REQUIRED), "initial_state": (one_of("+-", "-+"), "+-")}
+        assert read_block({"horizon": 1e-5}, keys, "task") == {"horizon": 1e-5, "initial_state": "+-"}
+        for block, message in (
+            ({"horizon": 1e-5, "other": 1.0}, "unknown key 'task.other'"),
+            ({"initial_state": "-+"}, "missing key 'task.horizon'"),
+            ({"horizon": 0}, "invalid task.horizon: must be positive, got 0"),
+            ({"horizon": "1e-5"}, "invalid task.horizon: must be a number, got '1e-5'"),
+            ({"horizon": 1e-5, "initial_state": "xx"}, "invalid task.initial_state: must be '+-' or '-+'"),
+        ):
+            with pytest.raises(ScenarioError, match=re.escape(message)):
+                read_block(block, keys, "task")
+        # the top level names its keys without a block prefix
         data = base_scenario()
-        data["task"] = {"horizon": 1e-5}
-        sc = parse_scenario_dict(data)
-        out = task_params(sc, {"horizon": (True, float)}, "compare")
-        assert out == {"horizon": 1e-5}
-        with pytest.raises(ScenarioError, match="horizon"):
-            task_params(sc, {"other": (False, float)}, "compare")
+        del data["drive"]
+        with pytest.raises(ScenarioError, match=re.escape("missing key 'drive'")):
+            parse_scenario_dict(data)
+        data = base_scenario()
+        del data["geometry"]["theta_d"]
+        with pytest.raises(ScenarioError, match=re.escape("missing key 'geometry.theta_d'")):
+            parse_scenario_dict(data)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -180,6 +204,101 @@ class TestScenarioParsing:
         bad.write_text('{"drive": {"rabi": 1' + "0" * 5000 + "}}")
         with pytest.raises(ScenarioError):
             load_scenario(bad)
+
+
+# One valid task block of each subcommand that reads its task.
+VALID_TASKS = {
+    "evolve": {"model": "obe", "t_final": 1e-6, "n_times": 3, "initial_state": "gg"},
+    "steady": {"model": "fme"},
+    "spinmodel": {"n_atoms": 3, "positions": [[0, 0, 0], [1e-5, 0, 0], [0, 1e-5, 0]], "dipole_axis": [0, 0, 1]},
+    "taumap": {
+        "rabi_over_omega_min": 0.0,
+        "rabi_over_omega_max": 0.5,
+        "n_rabi": 3,
+        "omega_eg_over_omega_min": 0.5,
+        "omega_eg_over_omega_max": 1.5,
+        "n_omega_eg": 3,
+    },
+    "compare": {"horizon": 3e-5, "initial_state": "+-"},
+}
+# (block, key) of every scenario key and (subcommand, key) of every task key.
+SCENARIO_KEYS = [(block, key) for block, keys in BLOCK_KEYS.items() for key in keys]
+TASK_KEY_NAMES = [(sub, key) for sub, keys in TASK_KEYS.items() for key in keys]
+# JSON values of every kind: null, booleans, integers beyond float range,
+# floats (NaN and infinities too, which Python's json accepts), strings,
+# and lists and objects of them.
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+FIXED_VALUES = (
+    None, True, False, 0, -1, 2, 10**400, -(10**400), 0.5, -0.0, 1e300, float("nan"), float("inf"),
+    "", "fme", "1e-5", [], [0, 0, 1], [[0, 0, 0], [4e-5, 0, 0]], [[0, 0, 0], [1e300, 0, 0]],
+    [[1e308, 0, 0], [-1e308, 0, 0]], [1e200, 1e200, 1e200], {}, {"a": 1},
+)
+
+POSITIONS_GEOMETRY = {"positions": [[0, 0, 0], [4e-5, 0, 0]], "dipole_axis": [0, 0, 1], "dipole_ea0": 1000.0}
+# The base scenario's key that each of these keys stands in for.
+STANDS_IN_FOR = {"detuning": "omega_eg", "dipole_mag": "dipole_ea0"}
+
+
+def _parse_scenario_with(block, key, value):
+    """Parse the base scenario with ``value`` at ``block.key``, on the route that reads that key.
+
+    A ScenarioError is a refusal; any other exception fails the caller.
+    """
+    data = {**base_scenario(), "numerics": {"n_samples": 64}}
+    if key in ("positions", "dipole_axis"):
+        data["geometry"] = dict(POSITIONS_GEOMETRY)
+    target = data if block == "" else data[block]
+    target.pop(STANDS_IN_FOR.get(key), None)
+    target[key] = value
+    try:
+        parse_scenario_dict(data)
+    except ScenarioError:
+        pass
+
+
+def _read_task_with(sub, key, value):
+    """Read the valid task of ``sub`` with ``value`` at ``key``; a ScenarioError is a refusal."""
+    try:
+        read_block({**VALID_TASKS[sub], key: value}, TASK_KEYS[sub], "task")
+    except ScenarioError:
+        pass
+
+
+class TestReaderProperty:
+    """Parse only: every table reads any JSON value or refuses it with a ScenarioError."""
+
+    def test_valid_tasks_parse(self):
+        assert sorted(VALID_TASKS) == sorted(TASK_KEYS)
+        for sub, task in VALID_TASKS.items():
+            read_block(task, TASK_KEYS[sub], "task")
+
+    def test_fixed_values_at_every_key(self):
+        for value in FIXED_VALUES:
+            for block, key in SCENARIO_KEYS:
+                _parse_scenario_with(block, key, value)
+            for sub, key in TASK_KEY_NAMES:
+                _read_task_with(sub, key, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SCENARIO_KEYS), JSON_VALUES)
+    def test_any_value_at_any_scenario_key(self, where, value):
+        _parse_scenario_with(*where, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(TASK_KEY_NAMES), JSON_VALUES)
+    def test_any_value_at_any_task_key(self, where, value):
+        _read_task_with(*where, value)
 
 
 class TestCsvEmission:
