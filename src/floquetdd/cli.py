@@ -133,13 +133,35 @@ def _run_channels(scenario: Scenario) -> _Run:
 # product Floquet basis (DRESSED_PAIR_LABELS) and the bare OBE basis.
 _BASES = {"fme": ("pp", "pm", "mp", "mm"), "obe": ("ee", "eg", "ge", "gg")}
 
+# The largest count a task may ask for: evolve's n_times, taumap's n_rabi
+# and n_omega_eg, and their product, the taumap cell count.  Every counted
+# entry is held in memory at once, at a peak of about 0.9 kB per evolve
+# time and 0.2 kB per taumap cell, and written as one CSV row, so a run at
+# the cap stays within about 1 GB; a count is refused before any array is
+# allocated.
+MAX_COUNT = 1_000_000
+
+
+def _count(lo: int):
+    """The reader of an integer count of at least ``lo`` and at most MAX_COUNT."""
+    read_range = within(integer, lo, math.inf)
+
+    def read(value) -> int:
+        out = read_range(value)
+        if out > MAX_COUNT:
+            raise ValueError(f"must be at most {MAX_COUNT:g}, got {value!r}")
+        return out
+
+    return read
+
+
 # The task keys of each subcommand that reads its task block, as read by
 # ``scenario.read_block``; a subcommand not listed ignores the block.
 TASK_KEYS = {
     "evolve": {
         "model": (one_of(*_BASES), REQUIRED),
         "t_final": (positive, REQUIRED),
-        "n_times": (within(integer, 2, math.inf), 201),
+        "n_times": (_count(2), 201),
         "initial_state": (one_of(*_BASES["fme"], *_BASES["obe"]), REQUIRED),
     },
     "steady": {"model": (one_of(*_BASES), REQUIRED)},
@@ -152,10 +174,10 @@ TASK_KEYS = {
     "taumap": {
         "rabi_over_omega_min": (non_negative, REQUIRED),
         "rabi_over_omega_max": (non_negative, REQUIRED),
-        "n_rabi": (within(integer, 1, math.inf), REQUIRED),
+        "n_rabi": (_count(1), REQUIRED),
         "omega_eg_over_omega_min": (positive, REQUIRED),
         "omega_eg_over_omega_max": (positive, REQUIRED),
-        "n_omega_eg": (within(integer, 1, math.inf), REQUIRED),
+        "n_omega_eg": (_count(1), REQUIRED),
     },
     "compare": {
         "horizon": (positive, REQUIRED),
@@ -271,6 +293,12 @@ def _run_taumap(scenario: Scenario, threads: int) -> _Run:
     for key, value in bounds.items():
         if not math.isfinite(value):
             raise ScenarioError(f"invalid task.{key}: {params[key]!r} times drive.omega overflows")
+    cells = params["n_rabi"] * params["n_omega_eg"]
+    if cells > MAX_COUNT:
+        raise ScenarioError(
+            f"invalid task.n_omega_eg: the grid of n_rabi x n_omega_eg = {cells} cells "
+            f"exceeds {MAX_COUNT:g}"
+        )
     rabi = np.linspace(
         bounds["rabi_over_omega_min"], bounds["rabi_over_omega_max"], params["n_rabi"]
     )

@@ -12,6 +12,8 @@ None of these is used by the package itself:
   propagation code, and the sideband matrix elements as convolutions of its
   Fourier blocks, an oracle of :func:`floquetdd.dipole.matrix_elements`
 * the zone fold of a quasienergy, for the rotating-wave references
+* the quasienergy map stepped through the whole period, the oracle of the
+  symmetry unfolding in :func:`floquetdd.floquet.quasienergy_magnitude_map`
 """
 
 from __future__ import annotations
@@ -22,7 +24,16 @@ import numpy as np
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
 from floquetdd.dipole import MatrixElementTable, _sigma_x_spectrum
-from floquetdd.floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, FloquetSolution
+from floquetdd.floquet import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    DriveParams,
+    FloquetSolution,
+    _cf4_steps,
+    _su2_eigenphase,
+    _su2_product,
+)
 from floquetdd.lindblad import LindbladModel, build_liouvillian
 from floquetdd.spin import JTensor
 
@@ -273,3 +284,22 @@ def sambe_matrix_elements(
             else:
                 out[a, b, truncation + m] = np.sum(u[a, : size + m].conj() * sx_u[b, -m:])
     return values[picked], out
+
+
+def full_period_monodromy_map(rabi_values, omega_eg_values, omega: float, n_samples: int):
+    """|mu_+| and Re alpha of every grid cell, from all ``n_samples`` CF4 steps of the period.
+
+    The same steps as :func:`floquetdd.floquet.quasienergy_magnitude_map`,
+    multiplied one by one through the whole period instead of a quarter of
+    it unfolded by the drive's symmetries.  Returns arrays of shape
+    ``(len(rabi_values), len(omega_eg_values))``.
+    """
+    rr = np.asarray(rabi_values, dtype=float)[:, None]
+    ee = np.asarray(omega_eg_values, dtype=float)[None, :]
+    period = 2.0 * np.pi / omega
+    dt = period / n_samples
+    a = np.ones((rr.size, ee.size), dtype=complex)
+    b = np.zeros_like(a)
+    for k in range(n_samples):
+        a, b = _su2_product(*_cf4_steps(rr, ee, omega, dt, k * dt), a, b)
+    return _su2_eigenphase(a, b) / period, np.real(a)

@@ -8,7 +8,7 @@ import pytest
 from scipy import constants
 
 from floquetdd import floquet
-from floquetdd.cli import main
+from floquetdd.cli import MAX_COUNT, main
 from floquetdd.io import read_csv
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
@@ -237,6 +237,36 @@ class TestErrorPaths:
         scenario = write_scenario(tmp_path, **overrides)
         assert run(subcommand, scenario, tmp_path / "out") == 1
         assert key in capsys.readouterr().err
+
+    # A count above MAX_COUNT, or a taumap grid of more cells, is refused by
+    # name before any array is allocated; at the parent n_rabi: 1e20 died in
+    # np.linspace with a traceback.
+    @pytest.mark.parametrize(
+        "subcommand, task, message",
+        [
+            ("taumap", taumap_task(n_rabi=1e20), "invalid task.n_rabi: must be at most 1e+06, got 1e+20"),
+            (
+                "taumap",
+                taumap_task(n_omega_eg=MAX_COUNT + 1),
+                "invalid task.n_omega_eg: must be at most 1e+06, got 1000001",
+            ),
+            (
+                "evolve",
+                {"model": "obe", "t_final": 1e-6, "initial_state": "gg", "n_times": MAX_COUNT + 1},
+                "invalid task.n_times: must be at most 1e+06, got 1000001",
+            ),
+            (
+                "taumap",
+                taumap_task(n_rabi=1001, n_omega_eg=1000),
+                "invalid task.n_omega_eg: the grid of n_rabi x n_omega_eg = 1001000 cells exceeds 1e+06",
+            ),
+        ],
+        ids=["taumap-n-rabi", "taumap-n-omega-eg", "evolve-n-times", "taumap-cells"],
+    )
+    def test_task_counts_are_capped(self, tmp_path, capsys, subcommand, task, message):
+        assert run(subcommand, write_scenario(tmp_path, task=task), tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     # Position and axis entries are numbers: strings and booleans are refused, not converted.
     @pytest.mark.parametrize(

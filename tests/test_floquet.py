@@ -21,8 +21,9 @@ from floquetdd.floquet import (
     propagate_period,
     quasienergy_magnitude_map,
 )
-from floquetdd.validity import tau_mu
-from oracles import fold_to_zone, sambe_floquet
+from floquetdd import validity
+from floquetdd.validity import scan_tau_map, tau_mu
+from oracles import fold_to_zone, full_period_monodromy_map, sambe_floquet
 
 OMEGA = 1e10
 
@@ -448,8 +449,50 @@ class TestQuasienergyMap:
                 monodromy = propagate_period(sol.drive, sol.grid)[-1]
                 assert abs(half_trace[i, j] - 0.5 * np.trace(monodromy).real) <= 1e-13
 
+    # The map unfolds U(T/4) by time reversal and parity, propagate_period
+    # U(T/2) by parity alone: the two monodromies agree to round-off.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rabi_frac=st.floats(0.0, 0.8),
+        omega_eg_frac=st.floats(0.1, 1.9),
+        log2_n=st.integers(6, 11),
+    )
+    def test_one_cell_matches_the_propagated_monodromy(self, rabi_frac, omega_eg_frac, log2_n):
+        drive = DriveParams(omega=OMEGA, rabi=rabi_frac * OMEGA, omega_eg=omega_eg_frac * OMEGA)
+        grid = TimeGrid.for_drive(drive, 2**log2_n)
+        mu_abs, half_trace = quasienergy_magnitude_map([drive.rabi], [drive.omega_eg], OMEGA, grid.n_samples)
+        alpha, beta = propagate_period(drive, grid)[-1, 0]
+        assert abs(half_trace[0, 0] - alpha.real) <= 1e-13
+        assert abs(mu_abs[0, 0] * grid.period - floquet._su2_eigenphase(alpha, beta)) <= 1e-13
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             quasienergy_magnitude_map([], [1.0], 1.0, 512)
         with pytest.raises(ValueError):
             quasienergy_magnitude_map([1.0], [1.0], -1.0, 512)
+
+
+class TestFullPeriodOracle:
+    # Oracle: the map's own CF4 steps multiplied through the whole period
+    # (tests/oracles.py), where the map takes a quarter of them and unfolds
+    # the rest by time reversal and half-period parity.  Measured: |mu_+|
+    # within 9.2e-16 omega and Re alpha within 7.6e-15 (60x60/1024), and the
+    # same diverged flags on both grids.
+    MU_BOUND = 1e-14
+    TRACE_BOUND = 1e-13
+
+    # (cells per side, n_samples) of rabi in [0, 0.8] omega by omega_eg in
+    # [0.1, 1.9] omega: the grid of scenarios/taumap_small.json, and a finer one.
+    @pytest.mark.parametrize("size, n", [(40, 256), (60, 1024)], ids=["taumap_small", "60x60-1024"])
+    def test_unfolded_map_matches_full_period(self, size, n, monkeypatch):
+        rabi = np.linspace(0.0, 0.8 * OMEGA, size)
+        omega_eg = np.linspace(0.1 * OMEGA, 1.9 * OMEGA, size)
+        mu_abs, half_trace = quasienergy_magnitude_map(rabi, omega_eg, OMEGA, n)
+        mu_ref, trace_ref = full_period_monodromy_map(rabi, omega_eg, OMEGA, n)
+        assert np.max(np.abs(mu_abs - mu_ref)) <= self.MU_BOUND * OMEGA
+        assert np.max(np.abs(half_trace - trace_ref)) <= self.TRACE_BOUND
+        flags = scan_tau_map(rabi, omega_eg, OMEGA, n).diverged
+        monkeypatch.setattr(validity, "quasienergy_magnitude_map", full_period_monodromy_map)
+        reference = scan_tau_map(rabi, omega_eg, OMEGA, n).diverged
+        assert reference.sum() > 0
+        np.testing.assert_array_equal(flags, reference)

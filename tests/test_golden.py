@@ -10,11 +10,14 @@ versions is reported as such instead of as a list of changed hashes.
 
 Rewrite the manifest after an intended output change with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [--keep DIR]
 
 which prints one line per run it added, removed or changed against the old
 manifest (naming the changed fields and files), and list every changed
-hash, with its reason, in CHANGES.md.
+hash, with its reason, in CHANGES.md.  With ``--keep DIR`` each run's
+scenario, output files (``out/``) and stdout (``stdout.txt``) stay under
+``DIR/<run>/``; ``tests/golden_diff.py`` then gives the size of each change
+between the kept files of two trees.
 """
 
 import contextlib
@@ -30,6 +33,7 @@ import pytest
 import scipy
 
 from floquetdd.cli import main
+import golden_diff
 
 MANIFEST = Path(__file__).with_name("golden.json")
 
@@ -131,6 +135,9 @@ def _runs() -> dict:
             "exit1-initial-state": ("compare", _with(RYDBERG, task={"horizon": 1e-5, "initial_state": "xx"})),
             "exit1-taumap-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "rabi_over_omega_min": -0.1})),
             "exit1-taumap-n-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "n_rabi": 0})),
+            # counts beyond the cap cli.MAX_COUNT
+            "exit1-taumap-n-rabi-huge": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "n_rabi": 1e20})),
+            "exit1-evolve-n-times-huge": ("evolve", _with(RYDBERG, task={**evolve_task, "n_times": 1e20})),
             # 1e300 * drive.omega overflows to inf
             "exit1-taumap-overflow": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "rabi_over_omega_max": 1e300})),
             "exit1-evolve-model": ("evolve", _with(RYDBERG, task={**evolve_task, "model": "xyz"})),
@@ -195,6 +202,7 @@ def _record(name: str, tmp_path: Path) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
+    (tmp_path / "stdout.txt").write_text(stdout.getvalue())
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     files = sorted(out.iterdir()) if out.is_dir() else []
     return {
@@ -233,6 +241,22 @@ def test_diff_names_added_removed_and_changed_runs():
     assert _diff(old, new) == ["changed edited: stdout, b.json", "added fresh", "removed gone"]
 
 
+def test_golden_diff_sizes_each_changed_column_and_value(tmp_path):
+    for tree, (x, rate, line) in {"a": ("1.0", 2.0, "rates: 2"), "b": ("1.5", 2.0, "rates: 3")}.items():
+        run = tmp_path / tree / "run"
+        (run / "out").mkdir(parents=True)
+        (run / "out" / "t.csv").write_text(f"label,x,y\nu,{x},4.0\nv,-2.0,5.0\n")
+        (run / "out" / "b.json").write_text(json.dumps({"outputs": {"rates": [rate, -4.0], "n": int(x == "1.5")}}))
+        (run / "stdout.txt").write_text(f"{line}\n")
+    (tmp_path / "b" / "run" / "extra.txt").write_text("")
+    assert golden_diff.diff_trees(tmp_path / "a", tmp_path / "b") == [
+        f"run/extra.txt: only under {tmp_path / 'b'}",
+        "run/out/b.json /outputs/n: max |change| 1.000e+00 of max |value| 0.000e+00 (relative inf), 1 of 1 entries changed",
+        "run/out/t.csv column x: max |change| 5.000e-01 of max |value| 2.000e+00 (relative 2.50e-01), 1 of 2 entries changed",
+        "run/stdout.txt line 1: 'rates: 2' -> 'rates: 3'",
+    ]
+
+
 def test_manifest_names_every_run():
     assert sorted(_manifest()["runs"]) == sorted([*RUNS, *USAGE])
 
@@ -248,11 +272,19 @@ def test_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Rewrite tests/golden.json from the current tree.")
+    parser.add_argument("--keep", type=Path, metavar="DIR", help="keep each run's files under DIR/<run>/")
+    args = parser.parse_args()
     old = _manifest() if MANIFEST.exists() else {"versions": None, "runs": {}}
     records = {}
     for name in [*RUNS, *USAGE]:
+        if args.keep:
+            (args.keep / name).mkdir(parents=True, exist_ok=False)
+            records[name] = _record(name, args.keep / name)
+            continue
         with tempfile.TemporaryDirectory() as tmp:
             records[name] = _record(name, Path(tmp))
     MANIFEST.write_text(json.dumps({"versions": _versions(), "runs": records}, indent=1, sort_keys=True) + "\n")
