@@ -29,6 +29,7 @@ from .floquet import TimeGrid, dressed_states, floquet_solve
 from .io import ResultBundle, Table, emit_csv, emit_json, matrix_to_json
 from .lindblad import (
     DRESSED_PAIR_LABELS,
+    MAX_COUNT,
     coarse_grained_coefficients,
     evolve,
     fme_model,
@@ -132,15 +133,6 @@ def _run_channels(scenario: Scenario) -> _Run:
 # Column labels of each model's basis states, in matrix order: the FME
 # product Floquet basis (DRESSED_PAIR_LABELS) and the bare OBE basis.
 _BASES = {"fme": ("pp", "pm", "mp", "mm"), "obe": ("ee", "eg", "ge", "gg")}
-
-# The largest count a task may ask for: evolve's n_times, taumap's n_rabi
-# and n_omega_eg, and their product, the taumap cell count.  Every counted
-# entry is held in memory at once, at a peak of about 0.9 kB per evolve
-# time and 0.2 kB per taumap cell, and written as one CSV row, so a run at
-# the cap stays within about 1 GB; a count is refused before any array is
-# allocated.
-MAX_COUNT = 1_000_000
-
 
 def _count(lo: int):
     """The reader of an integer count of at least ``lo`` and at most MAX_COUNT."""

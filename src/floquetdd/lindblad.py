@@ -7,13 +7,16 @@ frame), so the master equation
     drho/dt = -i [H, rho] + sum_k g_k (L rho L^+ - {L^+ L, rho} / 2)
 
 is a constant linear map on the C-order vectorized state.  Evolution is
-exact: one superoperator exponential per distinct report interval,
-applied in order with Hermitization after every step.  The same
+exact up to round-off on a uniform report grid ``np.linspace(0, t_final,
+n)``: one superoperator exponential P = expm(L dt) of the report step,
+whose powers P^k rho0 are built in blocks of about sqrt(n) and
+Hermitized once; their round-off grows with ||L|| * t_final.  The same
 superoperator matrix gives steady states and cross checks.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -63,6 +66,15 @@ _EIGENVALUE_FLOOR = -1e-9
 # Dressed product states of the pair, in the order of the FME basis and of
 # the rows of every two-atom matrix built from the Floquet solution.
 DRESSED_PAIR_LABELS = ("++", "+-", "-+", "--")
+
+# The largest count a run may ask for: evolve's report times (the CLI's
+# evolve n_times and compare's report grid), taumap's n_rabi and n_omega_eg,
+# and their product, the taumap cell count.  Every counted entry is held in
+# memory at once, at a peak of about 0.9 kB per evolve time (0.90 kB at 1e6
+# times on the Bloch pair) and 0.2 kB per taumap cell, and written as one
+# CSV row, so a run at the cap stays within about 1.2 GB (the peak of a
+# compare at the cap); a count is refused before any array is allocated.
+MAX_COUNT = 1_000_000
 
 # Report times per dressed beat in fme_vs_obe_compare: enough to resolve the
 # beat that its moving average (10/omega_gen, about 1.6 beats) smooths away.
@@ -150,37 +162,52 @@ def build_liouvillian(model: LindbladModel) -> np.ndarray:
 
 
 def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
-    """Exact states of the master equation at the requested times.
+    """Exact states of the master equation on the uniform grid ``times``.
 
-    The generator is time independent, so the state after a report
-    interval dt is expm(L dt) applied to the previous one.  One exponential
-    is taken per distinct interval (the first interval runs from t = 0 to
-    ``times[0]``); the steps are applied in order, each followed by
-    Hermitization rho -> (rho + rho^+)/2.  Every returned state is checked
-    for Hermiticity, unit trace and near-positivity.  An invalid ``rho0`` is
-    a ``ValueError``; failing returned states are a :class:`PhysicsError`,
-    as their round-off grows with ||L|| t_final, not with the step size.
+    ``times`` must equal ``np.linspace(0, t_final, n)`` bit for bit, with
+    t_final > 0 and n >= 2; any other grid is a ``ValueError``.  The
+    generator is time independent, so the state at report k is P^k rho0
+    with P = expm(L dt), dt = ``times[1]``: the one exponential of the call.
+    With B = isqrt(n - 1) + 1, the powers P^0 ... P^(B-1) and the block
+    starts (P^B)^j rho0 are each built by a short loop, and every state is
+    one batched product of the two.  The stack is Hermitized,
+    rho -> (rho + rho^+)/2, and every state is checked for Hermiticity,
+    unit trace and near-positivity.  An invalid ``rho0`` is a
+    ``ValueError``; failing returned states are a :class:`PhysicsError`, as
+    their round-off grows with ||L|| t_final, not with the step size.
     """
     from scipy.linalg import expm
 
     rho = validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-d array")
-    if times[0] < 0.0 or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be non-negative and non-decreasing")
+    uniform = (
+        times.ndim == 1
+        and times.size >= 2
+        and times[-1] > 0.0
+        and np.array_equal(times, np.linspace(0.0, times[-1], times.size))
+    )
+    if not uniform:
+        raise ValueError("times must be np.linspace(0, t_final, n) with t_final > 0 and n >= 2")
 
     liou = build_liouvillian(model)
-    intervals, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-    steppers = [expm(liou * dt) for dt in intervals]
-    d = model.dimension
-    out = np.empty((times.size, d, d), dtype=complex)
-    for k, idx in enumerate(which):
-        rho = (steppers[idx] @ rho.reshape(-1)).reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
-        out[k] = rho
+    step = expm(liou * times[1])
+    n, d = times.size, model.dimension
+    block = math.isqrt(n - 1) + 1
+    powers = np.empty((block, d * d, d * d), dtype=complex)
+    powers[0] = np.eye(d * d)
+    for k in range(1, block):
+        powers[k] = step @ powers[k - 1]
+    stride = step @ powers[-1]
+    starts = np.empty((-(-n // block), d * d), dtype=complex)
+    starts[0] = rho.reshape(-1)
+    for j in range(1, len(starts)):
+        starts[j] = stride @ starts[j - 1]
+    # state j * block + k is P^k (P^block)^j rho0
+    states = np.tensordot(starts, powers, axes=(1, 2)).reshape(-1, d, d)[:n]
+    states += np.swapaxes(states, 1, 2).conj()
+    states *= 0.5
     try:
-        return validate_density_matrix(out)
+        return validate_density_matrix(states)
     except ValueError as err:
         scale = np.linalg.norm(liou, 2) * times[-1]
         raise PhysicsError(
@@ -336,7 +363,9 @@ def fme_vs_obe_compare(
     drive hierarchy 1/omega << 1/omega_gen << 1/|omega_dd| holds by
     ``HIERARCHY_MARGIN`` and the quasienergy-spacing time scale is finite,
     and (raising :class:`PhysicsError`) a ``horizon`` shorter than the
-    10/omega_gen smoothing window, before anything is evolved.
+    10/omega_gen smoothing window or one whose report grid, 16 times per
+    dressed beat, holds more than ``MAX_COUNT`` times, before any model or
+    array is built.
     Both models start in the same dressed product state and are advanced
     with :func:`evolve` on the uniform report grid; the
     Bloch trajectory is rotated into the dressed basis and smoothed over a
@@ -363,6 +392,18 @@ def fme_vs_obe_compare(
             f"horizon {float(horizon)!r} s is shorter than the 10/omega_gen window that smooths "
             f"the Bloch populations; give a horizon of at least {smoothing!r} s"
         )
+    beat = 2.0 * np.pi / gen.omega_gen
+    # the report grid of n_report + 1 times is held in memory at once
+    reports = horizon / beat * _REPORTS_PER_BEAT
+    if reports > MAX_COUNT - 1:
+        # the longest horizon taken, rounded down to three digits
+        longest = (MAX_COUNT - 1) * beat / _REPORTS_PER_BEAT
+        unit = 10.0 ** (math.floor(math.log10(longest)) - 2)
+        raise PhysicsError(
+            f"task.horizon {float(horizon)!r} s asks for about {reports:.3g} report times at "
+            f"{_REPORTS_PER_BEAT} per dressed beat, more than the {MAX_COUNT:g} that fit in "
+            f"memory; give a horizon of at most {math.floor(longest / unit) * unit:.3g} s"
+        )
 
     if initial_label not in DRESSED_PAIR_LABELS:
         raise ValueError(f"initial_label must be one of {sorted(DRESSED_PAIR_LABELS)}")
@@ -378,8 +419,7 @@ def fme_vs_obe_compare(
     w2 = kron(w1, w1)
     rho_o0 = w2 @ rho_f0 @ w2.conj().T
 
-    beat = 2.0 * np.pi / gen.omega_gen
-    n_report = max(400, int(np.ceil(horizon / beat * _REPORTS_PER_BEAT)))
+    n_report = max(400, int(np.ceil(reports)))
     times = np.linspace(0.0, horizon, n_report + 1)
 
     traj_f = evolve(fme, rho_f0, times)

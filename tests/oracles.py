@@ -14,6 +14,8 @@ None of these is used by the package itself:
 * the zone fold of a quasienergy, for the rotating-wave references
 * the quasienergy map stepped through the whole period, the oracle of the
   symmetry unfolding in :func:`floquetdd.floquet.quasienergy_magnitude_map`
+* the master equation stepped report by report, the oracle of the block
+  powers in :func:`floquetdd.lindblad.evolve`
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import expm
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
 from floquetdd.dipole import MatrixElementTable, _sigma_x_spectrum
@@ -303,3 +306,25 @@ def full_period_monodromy_map(rabi_values, omega_eg_values, omega: float, n_samp
     for k in range(n_samples):
         a, b = _su2_product(*_cf4_steps(rr, ee, omega, dt, k * dt), a, b)
     return _su2_eigenphase(a, b) / period, np.real(a)
+
+
+def stepwise_evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
+    """States of the master equation at non-decreasing ``times``, one report interval at a time.
+
+    One exponential of the Liouvillian per distinct interval (the first runs
+    from t = 0 to ``times[0]``), applied in order, each step followed by
+    Hermitization rho -> (rho + rho^+)/2.  Returns the stack of states,
+    unvalidated.
+    """
+    liou = build_liouvillian(model)
+    times = np.asarray(times, dtype=float)
+    intervals, which = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    steppers = [expm(liou * dt) for dt in intervals]
+    d = model.dimension
+    rho = np.asarray(rho0, dtype=complex)
+    out = np.empty((times.size, d, d), dtype=complex)
+    for k, idx in enumerate(which):
+        rho = (steppers[idx] @ rho.reshape(-1)).reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        out[k] = rho
+    return out

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy import constants
 
-from floquetdd import floquet
-from floquetdd.cli import MAX_COUNT, main
+from floquetdd import floquet, lindblad
+from floquetdd.cli import main
 from floquetdd.io import read_csv
+from floquetdd.lindblad import MAX_COUNT
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 REPO = Path(__file__).resolve().parents[1]
@@ -320,6 +321,22 @@ class TestErrorPaths:
             task={"horizon": 1e-5},
         )
         assert run("compare", scenario, tmp_path / "out") == 2
+
+    def test_compare_long_horizon_exit_two(self, tmp_path, capsys, monkeypatch):
+        # 1 s is about 2.5e8 report times on the Rydberg pair; it is refused
+        # before either model is built, naming the longest horizon taken
+        # (MAX_COUNT - 1 report times, 3.927e-3 s, rounded down).
+        def unbuilt(*args):
+            raise AssertionError("model built before the horizon was checked")
+
+        monkeypatch.setattr(lindblad, "fme_model", unbuilt)
+        monkeypatch.setattr(lindblad, "obe_reference", unbuilt)
+        out = tmp_path / "out"
+        assert run("compare", write_scenario(tmp_path, task={"horizon": 1.0}), out) == 2
+        err = capsys.readouterr().err
+        assert "task.horizon 1.0 s asks for about 2.55e+08 report times" in err
+        assert "give a horizon of at most 0.00392 s" in err
+        assert list(out.iterdir()) == []
 
 
 class TestPipelineCommands:

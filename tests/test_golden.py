@@ -135,7 +135,7 @@ def _runs() -> dict:
             "exit1-initial-state": ("compare", _with(RYDBERG, task={"horizon": 1e-5, "initial_state": "xx"})),
             "exit1-taumap-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "rabi_over_omega_min": -0.1})),
             "exit1-taumap-n-rabi": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "n_rabi": 0})),
-            # counts beyond the cap cli.MAX_COUNT
+            # counts beyond the cap lindblad.MAX_COUNT
             "exit1-taumap-n-rabi-huge": ("taumap", _with(RYDBERG, task={**TAUMAP_TASK, "n_rabi": 1e20})),
             "exit1-evolve-n-times-huge": ("evolve", _with(RYDBERG, task={**evolve_task, "n_times": 1e20})),
             # 1e300 * drive.omega overflows to inf
@@ -168,6 +168,8 @@ def _runs() -> dict:
             "exit2-compare-undriven": ("compare", _with(RYDBERG, drive=undriven_resonant, task={"horizon": 1e-5})),
             # shorter than the 10/omega_gen = 1e-7 s window of the Bloch average
             "exit2-compare-short-horizon": ("compare", _with(RYDBERG, task={"horizon": 5e-8})),
+            # about 2.5e8 report times, beyond lindblad.MAX_COUNT
+            "exit2-compare-long-horizon": ("compare", _with(RYDBERG, task={"horizon": 1.0})),
             "exit2-reproduce-undriven": ("reproduce-paper", _with(RYDBERG, drive=undriven_above)),
             "exit2-long-evolve": (
                 "evolve",

@@ -6,19 +6,21 @@ from scipy import constants
 from scipy.integrate import solve_ivp
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
-from floquetdd.errors import HierarchyViolationError, SteadyStateDegeneracyError
-from floquetdd.floquet import DriveParams
+from floquetdd.errors import HierarchyViolationError, PhysicsError, SteadyStateDegeneracyError
+from floquetdd.floquet import DriveParams, TimeGrid, floquet_solve
 from floquetdd.lindblad import (
     LindbladModel,
     build_liouvillian,
     coarse_grained_coefficients,
     evolve,
+    fme_model,
     fme_vs_obe_compare,
     obe_reference,
     smoothed_populations,
     steady_state,
     validate_density_matrix,
 )
+from oracles import stepwise_evolve
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 LOWER = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -35,6 +37,13 @@ CLOSE = AtomGeometry(separation=constants.c / 1e10, dipole_mag=4e8 * E_A0, theta
 
 def excited():
     return np.diag([1.0, 0.0]).astype(complex)
+
+
+def _one_ulp_off(times, k):
+    """``times`` with entry ``k`` moved up by one unit in the last place."""
+    out = times.copy()
+    out[k] = np.nextafter(out[k], np.inf)
+    return out
 
 
 class TestModelValidation:
@@ -106,15 +115,14 @@ class TestLiouvillian:
 
     def test_evolve_matches_ode_oracle_on_random_model(self):
         # Oracle: the matrix-form master equation integrated by an adaptive
-        # Runge-Kutta solver, independent of the superoperator layout.  The
-        # times are non-uniform, repeat one entry and start after t = 0.
+        # Runge-Kutta solver, independent of the superoperator layout.
         rng = np.random.RandomState(7)
         a = rng.randn(4, 4) + 1j * rng.randn(4, 4)
         h = 0.5 * (a + a.conj().T)
         jumps = [rng.randn(4, 4) + 1j * rng.randn(4, 4) for _ in range(2)]
         model = LindbladModel(hamiltonian=h, channels=((0.8, jumps[0]), (0.3, jumps[1])))
         rho0 = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        times = np.array([0.15, 0.2, 0.2, 0.45, 0.7, 1.3])
+        times = np.linspace(0.0, 1.3, 7)
 
         def rhs(_, y):
             rho = y.reshape(4, 4)
@@ -124,12 +132,11 @@ class TestLiouvillian:
                 out += rate * (op @ rho @ op.conj().T - 0.5 * (ldl @ rho + rho @ ldl))
             return out.reshape(-1)
 
-        t_eval, repeat = np.unique(times, return_inverse=True)
         oracle = solve_ivp(
             rhs, (0.0, times[-1]), rho0.reshape(-1), method="DOP853",
-            t_eval=t_eval, rtol=1e-12, atol=1e-14,
+            t_eval=times, rtol=1e-12, atol=1e-14,
         )
-        expected = oracle.y.T.reshape(-1, 4, 4)[repeat]
+        expected = oracle.y.T.reshape(-1, 4, 4)
         traj = evolve(model, rho0, times)
         assert np.max(np.abs(traj - expected)) < 1e-9
 
@@ -153,7 +160,7 @@ class TestEvolve:
 
     def test_zero_generator_is_constant(self):
         model = LindbladModel(hamiltonian=np.zeros((2, 2)))
-        traj = evolve(model, excited(), np.array([0.0, 1.0, 100.0]))
+        traj = evolve(model, excited(), np.linspace(0.0, 100.0, 3))
         np.testing.assert_allclose(traj[-1], excited())
 
     def test_stiff_hamiltonian_with_slow_decay(self):
@@ -161,13 +168,75 @@ class TestEvolve:
         # a fixed-step integrator resolving the precession needs ~1e17 steps.
         gamma, t = 1e-9, 1e3
         model = LindbladModel(hamiltonian=1e12 * SZ, channels=((gamma, LOWER),))
-        traj = evolve(model, excited(), np.array([t]))
+        traj = evolve(model, excited(), np.linspace(0.0, t, 2))
         assert traj[-1, 0, 0].real == pytest.approx(np.exp(-gamma * t), abs=1e-12)
 
     def test_invalid_initial_state(self):
         model = LindbladModel(hamiltonian=np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            evolve(model, np.array([[0.7, 0.0], [0.0, 0.7]]), np.array([1.0]))
+            evolve(model, np.array([[0.7, 0.0], [0.0, 0.7]]), np.linspace(0.0, 1.0, 2))
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.array([0.0, 0.2, 0.45, 1.3]),
+            np.linspace(0.15, 1.3, 6),
+            np.array([1.0]),
+            _one_ulp_off(np.linspace(0.0, 1.3, 6), 3),
+        ],
+        ids=["non-uniform", "not-from-zero", "single-time", "one-ulp-off"],
+    )
+    def test_only_a_linspace_grid_from_zero_is_taken(self, times):
+        model = LindbladModel(hamiltonian=SZ, channels=((0.4, LOWER),))
+        with pytest.raises(ValueError, match="linspace"):
+            evolve(model, excited(), times)
+
+    # Largest entry difference from the report-by-report oracle: 5.1e-14
+    # (random model, 7642 times), 1.3e-14 (Rydberg FME) and 2.7e-13
+    # (Rydberg Bloch pair, ||L|| * t_final = 6e3).
+    STEPWISE_BOUND = 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 101, 7642])
+    @pytest.mark.parametrize("name", ["random", "fme", "obe"])
+    def test_block_powers_match_stepwise_oracle(self, evolve_cases, name, n):
+        # B = isqrt(n - 1) + 1 divides n - 1 only at n = 3, and the last block
+        # is trimmed at every n but 2.
+        model, rho0, t_final = evolve_cases[name]
+        times = np.linspace(0.0, t_final, n)
+        traj = evolve(model, rho0, times)
+        assert traj.shape == (n, 4, 4)
+        assert np.max(np.abs(traj - stepwise_evolve(model, rho0, times))) < self.STEPWISE_BOUND
+
+    # README: on the Rydberg Bloch pair (||L|| = 2e8 /s) t_final = 0.1 s
+    # loses the trace whatever n_times is, and 0.03 s passes.
+    @pytest.mark.parametrize("n", [2, 2001])
+    def test_rydberg_bloch_pair_precision_limit(self, n):
+        model = obe_reference(DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10), RYDBERG, VACUUM)
+        gg = np.diag([0.0, 0.0, 0.0, 1.0]).astype(complex)
+        evolve(model, gg, np.linspace(0.0, 0.03, n))
+        with pytest.raises(PhysicsError, match="t_final"):
+            evolve(model, gg, np.linspace(0.0, 0.1, n))
+
+
+@pytest.fixture(scope="module")
+def evolve_cases():
+    """name -> (model, initial state, t_final) of the block-power checks."""
+    rng = np.random.RandomState(7)
+    a = rng.randn(4, 4) + 1j * rng.randn(4, 4)
+    jumps = [rng.randn(4, 4) + 1j * rng.randn(4, 4) for _ in range(2)]
+    random_model = LindbladModel(
+        hamiltonian=0.5 * (a + a.conj().T), channels=((0.8, jumps[0]), (0.3, jumps[1]))
+    )
+    drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
+    fme = fme_model(floquet_solve(drive, TimeGrid.for_drive(drive, 1024)), RYDBERG, VACUUM)
+    obe = obe_reference(drive, RYDBERG, VACUUM)
+    pm, gg = np.zeros((2, 4, 4), dtype=complex)
+    pm[1, 1] = gg[3, 3] = 1.0
+    return {
+        "random": (random_model, np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), 1.3),
+        "fme": (fme, pm, 3e-5),
+        "obe": (obe, gg, 3e-5),
+    }
 
 
 class TestSteadyState:
@@ -237,7 +306,7 @@ class TestObeReference:
             psi[2] = sign / np.sqrt(2)
             rho0 = np.outer(psi, psi.conj())
             t = 0.1 / expected
-            traj = evolve(model, rho0, np.array([t]))
+            traj = evolve(model, rho0, np.linspace(0.0, t, 2))
             survival = np.real(np.vdot(psi, traj[-1] @ psi))
             assert survival == pytest.approx(np.exp(-expected * t), abs=2e-4)
 
