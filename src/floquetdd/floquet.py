@@ -24,7 +24,10 @@ the step's midpoint.  The per-sample propagation steps n_samples / 2 times
 in a log-depth prefix scan and unfolds the second half by parity alone:
 samples unfolded by time reversal drift from the sequential product by
 more than the 1e-13 it holds every sample to.  The quasienergy map steps
-n_samples / 4 times per cell, then unfolds by time reversal and parity.
+n_samples / 4 times per cell, then unfolds by time reversal and parity; it
+builds its steps a cache-sized chunk at a time and multiplies them into
+the cells one by one, in order, so the map does not depend on the chunk
+size to the last bit.
 Both take the quasienergies +-mu, mu in [0, omega/2], from the eigenphase
 of the one-period (monodromy) pair, so none needs folding;
 ``floquet_solve`` reads the Floquet vectors from the same pair in closed
@@ -95,6 +98,10 @@ _BRANCH_TIE_TOL = 1e-12
 # The sideband cutoff the truncation search starts from; it grows by 2 until
 # the discarded Fourier weight is below _DISCARDED_WEIGHT_TOL.
 _MIN_TRUNCATION = 16
+# Cell-steps the quasienergy map builds in one call of _cf4_steps: the
+# roughly ten temporaries of a chunk (64 kB each as complex) stay in cache,
+# while a small grid still builds many steps per numpy call.
+_CHUNK = 4096
 
 
 def _below_floor(spacing, omega: float):
@@ -425,7 +432,11 @@ def quasienergy_magnitude_map(
     U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4) and half-period parity
     U(T) = sigma_z U(T/2) sigma_z U(T/2), one pair product each (Grifoni &
     Hanggi, Phys. Rep. 304, 229 (1998)), the same monodromy as stepping
-    all n_samples to round-off.  Returns
+    all n_samples to round-off.  The steps are built a chunk of about
+    4096 cell-steps per call (one step per chunk on larger grids), each
+    chunk freed before the next, and multiplied into the cells one by one
+    in time order: every map is bit for bit the one built step by step
+    (``tests/oracles.py``).  Returns
     two arrays of shape ``(len(rabi_values), len(omega_eg_values))``: the
     quasienergy magnitude |mu_+| in [0, omega/2] and the monodromy
     half-trace Re alpha = cos(mu_+ T), whose sign changes mark the
@@ -446,8 +457,16 @@ def quasienergy_magnitude_map(
     ee = omega_eg[None, :]
     a = np.ones((rabi.size, omega_eg.size), dtype=complex)
     b = np.zeros_like(a)
-    for k in range(n_samples // 4):
-        a, b = _su2_product(*_cf4_steps(rr, ee, omega, dt, k * dt), a, b)
+    steps = n_samples // 4
+    per = max(1, min(steps, _CHUNK // a.size))
+    for start in range(0, steps, per):
+        t0 = (np.arange(start, min(start + per, steps)) * dt)[:, None, None]
+        step_a, step_b = _cf4_steps(rr, ee, omega, dt, t0)
+        for k in range(step_a.shape[0]):
+            a, b = _su2_product(step_a[k], step_b[k], a, b)
+        # Held over into the next chunk's build, these steps would raise the
+        # peak of a grid above _CHUNK cells from 9 to 11 cell-sized arrays.
+        del step_a, step_b
     # Time reversal gives U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4), then
     # half-period parity U(T) = sigma_z U(T/2) sigma_z U(T/2).
     a, b = _su2_product(a, np.conj(b), a, b)

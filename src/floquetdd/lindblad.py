@@ -212,7 +212,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
         scale = np.linalg.norm(liou, 2) * times[-1]
         raise PhysicsError(
             f"evolved states are not density matrices ({err}): the round-off of "
-            f"the exponentials builds up over ||L|| * t_final = {scale:.1e}; "
+            f"the one exponential and its powers builds up over ||L|| * t_final = {scale:.1e}; "
             "choose a shorter t_final"
         ) from err
 

@@ -13,7 +13,9 @@ None of these is used by the package itself:
   Fourier blocks, an oracle of :func:`floquetdd.dipole.matrix_elements`
 * the zone fold of a quasienergy, for the rotating-wave references
 * the quasienergy map stepped through the whole period, the oracle of the
-  symmetry unfolding in :func:`floquetdd.floquet.quasienergy_magnitude_map`
+  symmetry unfolding in :func:`floquetdd.floquet.quasienergy_magnitude_map`,
+  and its quarter period built one step per call, the bit-exact oracle of
+  the chunked step build there
 * the master equation stepped report by report, the oracle of the block
   powers in :func:`floquetdd.lindblad.evolve`
 """
@@ -305,6 +307,31 @@ def full_period_monodromy_map(rabi_values, omega_eg_values, omega: float, n_samp
     b = np.zeros_like(a)
     for k in range(n_samples):
         a, b = _su2_product(*_cf4_steps(rr, ee, omega, dt, k * dt), a, b)
+    return _su2_eigenphase(a, b) / period, np.real(a)
+
+
+def stepwise_quarter_map(rabi_values, omega_eg_values, omega: float, n_samples: int):
+    """|mu_+| and Re alpha of every grid cell, building and applying one CF4 step at a time.
+
+    The quarter-period steps of :func:`floquetdd.floquet.quasienergy_magnitude_map`
+    and its unfolding by time reversal and half-period parity, with each
+    step built in its own call of the step builder instead of a chunk of
+    steps per call: the same elementwise values multiplied in the same
+    order, so both outputs agree bit for bit.  Returns arrays of shape
+    ``(len(rabi_values), len(omega_eg_values))``.
+    """
+    rr = np.asarray(rabi_values, dtype=float)[:, None]
+    ee = np.asarray(omega_eg_values, dtype=float)[None, :]
+    period = 2.0 * np.pi / omega
+    dt = period / n_samples
+    a = np.ones((rr.size, ee.size), dtype=complex)
+    b = np.zeros_like(a)
+    for k in range(n_samples // 4):
+        a, b = _su2_product(*_cf4_steps(rr, ee, omega, dt, k * dt), a, b)
+    # Time reversal gives U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4), then
+    # half-period parity U(T) = sigma_z U(T/2) sigma_z U(T/2).
+    a, b = _su2_product(a, np.conj(b), a, b)
+    a, b = _su2_product(a, -b, a, b)
     return _su2_eigenphase(a, b) / period, np.real(a)
 
 

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from floquetdd.floquet import (
 )
 from floquetdd import validity
 from floquetdd.validity import scan_tau_map, tau_mu
-from oracles import fold_to_zone, full_period_monodromy_map, sambe_floquet
+from oracles import fold_to_zone, full_period_monodromy_map, sambe_floquet, stepwise_quarter_map
 
 OMEGA = 1e10
 
@@ -496,3 +497,74 @@ class TestFullPeriodOracle:
         reference = scan_tau_map(rabi, omega_eg, OMEGA, n).diverged
         assert reference.sum() > 0
         np.testing.assert_array_equal(flags, reference)
+
+
+def map_axes(n_rabi, n_omega_eg):
+    """rabi in [0, 0.8] omega and omega_eg in [0.1, 1.9] omega, the grid of scenarios/taumap_small.json."""
+    return np.linspace(0.0, 0.8 * OMEGA, n_rabi), np.linspace(0.1 * OMEGA, 1.9 * OMEGA, n_omega_eg)
+
+
+class TestChunkedStepBuild:
+    # Oracle: the map's quarter period built one step per call
+    # (tests/oracles.py).  The map builds a chunk of steps per call and
+    # multiplies them in the same order, so both outputs must be equal bit
+    # for bit, not merely close.
+    @staticmethod
+    def assert_equals_stepwise(rabi, omega_eg, n):
+        for got, want in zip(
+            quasienergy_magnitude_map(rabi, omega_eg, OMEGA, n),
+            stepwise_quarter_map(rabi, omega_eg, OMEGA, n),
+        ):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "n_rabi, n_omega_eg, n",
+        [(1, 1, 64), (5, 5, 256), (18, 18, 512), (65, 65, 64)],
+        # 324 cells take chunks of 12 steps and a last one of 8; 4225 cells
+        # exceed the chunk size and take one step per chunk.
+        ids=["1x1-64", "5x5-256", "18x18-512-remainder", "65x65-64-one-step"],
+    )
+    def test_equals_the_stepwise_map(self, n_rabi, n_omega_eg, n):
+        self.assert_equals_stepwise(*map_axes(n_rabi, n_omega_eg), n)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n_rabi=st.integers(1, 70),
+        n_omega_eg=st.integers(1, 70),
+        log2_n=st.integers(6, 10),
+    )
+    def test_any_grid_equals_the_stepwise_map(self, n_rabi, n_omega_eg, log2_n):
+        rabi, omega_eg = map_axes(n_rabi, n_omega_eg)
+        n = 2**log2_n
+        self.assert_equals_stepwise(rabi, omega_eg, n)
+        one, two = (scan_tau_map(rabi, omega_eg, OMEGA, n, threads=t) for t in (1, 2))
+        assert np.array_equal(one.tau_inv_over_omega, two.tau_inv_over_omega)
+        assert np.array_equal(one.diverged, two.diverged)
+
+
+class TestMapWorkingMemory:
+    """tracemalloc peak of one map call; a cell-sized array holds one complex (16 B) per cell."""
+
+    # Above the chunk size the map holds one step per chunk, freed before the
+    # next is built.  Measured: 9.01 at 300x300/64; without that release a
+    # chunked build peaked near 11.
+    LARGE_GRID_CELL_ARRAYS = 9.5
+    # Below it the chunk's temporaries set the peak, whatever the grid:
+    # measured 0.514 MB at 18x18/512, under ten chunk-sized complex arrays.
+    SMALL_GRID_PEAK_BYTES = 10 * floquet._CHUNK * 16
+
+    @staticmethod
+    def peak_bytes(n_rabi, n_omega_eg, n):
+        rabi, omega_eg = map_axes(n_rabi, n_omega_eg)
+        tracemalloc.start()
+        try:
+            quasienergy_magnitude_map(rabi, omega_eg, OMEGA, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_large_grid(self):
+        assert self.peak_bytes(300, 300, 64) <= self.LARGE_GRID_CELL_ARRAYS * 300 * 300 * 16
+
+    def test_small_grid(self):
+        assert self.peak_bytes(18, 18, 512) <= self.SMALL_GRID_PEAK_BYTES
