@@ -25,7 +25,7 @@ from .bath import (
     omega_dd,
 )
 from .errors import SidebandTruncationError
-from .floquet import SIGMA_MINUS, SIGMA_X, SIGMA_Z, FloquetSolution, collective_pair
+from .floquet import SIGMA_MINUS, SIGMA_Z, FloquetSolution, collective_pair
 
 # The largest share of a sideband sum that its outer ring (|m| >= cutoff - 1)
 # may hold for the sum to count as converged at the table's cutoff.
@@ -119,16 +119,17 @@ class ChannelSet:
 
 
 def _sigma_x_spectrum(sol: FloquetSolution) -> np.ndarray:
-    """All DFT bins of <phi_a(t)|sigma_x|phi_b(t)>, shape (2, 2, n_samples)."""
-    sx_modes = sol.modes @ SIGMA_X.T  # sigma_x |phi_b(t_k)>
-    n = sol.grid.n_samples
-    out = np.empty((2, 2, n), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            samples = np.sum(sol.modes[a].conj() * sx_modes[b], axis=-1)
-            # ifft carries both the e^{+imwt} kernel and the 1/n average
-            out[a, b] = np.fft.ifft(samples)
-    return out
+    """All DFT bins of <phi_a(t)|sigma_x|phi_b(t)>, shape (2, 2, n_samples).
+
+    sigma_x swaps the two components, so the samples of all four branch
+    pairs are one broadcast expression, conj(phi_a0) phi_b1 + conj(phi_a1) phi_b0,
+    and one inverse FFT over the (2, 2, n_samples) stack transforms them.
+    """
+    modes = sol.modes
+    bra = modes.conj()[:, None]  # <phi_a|, broadcast over b
+    samples = bra[..., 0] * modes[:, :, 1] + bra[..., 1] * modes[:, :, 0]
+    # ifft carries both the e^{+imwt} kernel and the 1/n average
+    return np.fft.ifft(samples, axis=-1)
 
 
 def matrix_elements(sol: FloquetSolution) -> MatrixElementTable:

@@ -56,9 +56,15 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two square matrices: the same products, without its generic set-up."""
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+    """np.kron of the square matrices in the last two axes, broadcast over any leading (stack) axes.
+
+    The same products as np.kron, without its generic set-up: for two single
+    matrices it is np.kron; for stacks, entry [..., :, :] is the np.kron of
+    the matrices a[..., :, :] and b[..., :, :] after broadcasting.
+    """
+    n = a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (n, n))
 
 
 def site_op(op: np.ndarray, site: int, n_atoms: int) -> np.ndarray:
@@ -331,10 +337,13 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     Reads the quasienergies +-mu and the Floquet vectors in closed form from
     the monodromy pair (alpha, beta), refusing a spacing min(2 mu, omega -
     2 mu) below 1e-12 * omega, and builds the periodic modes phi(t_k) with
-    their Fourier amplitudes.  The sideband truncation is the smallest
-    cutoff 16, 18, ..., n_samples / 4 at which the discarded Fourier weight
-    of both branches is below 1e-12; when even n_samples / 4 leaves more,
-    a :class:`SidebandTruncationError` asks for a larger ``n_samples``.
+    their Fourier amplitudes.  Each mode component is formed elementwise
+    from the propagator entries, p00 x0 + p01 x1 and p10 x0 + p11 x1: the
+    products and sums of U(t_k, 0) @ v, bit for bit.  The sideband
+    truncation is the smallest cutoff 16, 18, ..., n_samples / 4 at which
+    the discarded Fourier weight of both branches is below 1e-12; when even
+    n_samples / 4 leaves more, a :class:`SidebandTruncationError` asks for
+    a larger ``n_samples``.
 
     The last solution is remembered (``functools.lru_cache`` of size one):
     a call whose ``drive`` and ``grid`` equal those of the previous call
@@ -379,11 +388,16 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     minus = 1 - plus
 
     times = grid.times()
-    # phi_b(t_k) = e^{i mu_b t_k} U(t_k, 0) v_b
+    # phi_b(t_k) = e^{i mu_b t_k} U(t_k, 0) v_b, one component at a time
+    # from the propagator entries: the products and sums of U(t_k, 0) @ v_b.
+    p00, p01 = propagators[:-1, 0, 0], propagators[:-1, 0, 1]
+    p10, p11 = propagators[:-1, 1, 0], propagators[:-1, 1, 1]
     modes = np.empty((2, grid.n_samples, 2), dtype=complex)
     for row, branch in enumerate((plus, minus)):
         phases = np.exp(1j * mus[branch] * times)
-        modes[row] = phases[:, None] * (propagators[:-1] @ vectors[:, branch])
+        x0, x1 = vectors[:, branch]
+        modes[row, :, 0] = phases * (p00 * x0 + p01 * x1)
+        modes[row, :, 1] = phases * (p10 * x0 + p11 * x1)
 
     # phi^(n) = (1/T) integral phi(t) e^{-i n w t} dt  ->  forward DFT / n.
     spectra = np.fft.fft(modes, axis=1) / grid.n_samples

@@ -147,17 +147,28 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def build_liouvillian(model: LindbladModel) -> np.ndarray:
-    """Superoperator matrix acting on C-order vectorized density matrices."""
-    ident = np.eye(model.dimension, dtype=complex)
+    """Superoperator matrix acting on C-order vectorized density matrices.
+
+    The dissipator terms g_k (L_k x conj(L_k) - (L_k^+ L_k x 1)/2 - (1 x (L_k^+ L_k)^T)/2)
+    of all channels are built as one stack, and added to the Hamiltonian
+    part one channel at a time, in channel order: the same sum, term for
+    term, as a per-channel loop.
+    """
+    d = model.dimension
+    ident = np.eye(d, dtype=complex)
     h = model.hamiltonian
     out = -1j * (kron(h, ident) - kron(ident, h.T))
-    for rate, op in model.channels:
-        ldl = op.conj().T @ op
-        out += rate * (
-            kron(op, op.conj())
-            - 0.5 * kron(ldl, ident)
-            - 0.5 * kron(ident, ldl.T)
-        )
+    rates = np.array([rate for rate, _ in model.channels], dtype=float)
+    ops = np.array([op for _, op in model.channels], dtype=complex).reshape(-1, d, d)
+    ldl = np.swapaxes(ops.conj(), 1, 2) @ ops
+    terms = rates[:, None, None] * (
+        kron(ops, ops.conj())
+        - 0.5 * kron(ldl, ident)
+        - 0.5 * kron(ident, np.swapaxes(ldl, 1, 2))
+    )
+    # One channel at a time: terms.sum(axis=0) would reassociate the sum.
+    for term in terms:
+        out += term
     return out
 
 

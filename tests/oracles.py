@@ -18,6 +18,13 @@ None of these is used by the package itself:
   the chunked step build there
 * the master equation stepped report by report, the oracle of the block
   powers in :func:`floquetdd.lindblad.evolve`
+* the Floquet modes as batched 2x2 matrix-vector products, the sideband
+  spectrum of sigma_x as four inverse FFTs, and the Liouvillian assembled
+  with ``np.kron`` channel by channel: the forms the package's elementwise
+  and stacked kernels replace, bit-exact oracles of
+  :func:`floquetdd.floquet.floquet_solve`,
+  :func:`floquetdd.dipole.matrix_elements` and
+  :func:`floquetdd.lindblad.build_liouvillian`
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
-from floquetdd.dipole import MatrixElementTable, _sigma_x_spectrum
+from floquetdd.dipole import MatrixElementTable
 from floquetdd.floquet import (
     SIGMA_X,
     SIGMA_Y,
@@ -38,6 +45,7 @@ from floquetdd.floquet import (
     _cf4_steps,
     _su2_eigenphase,
     _su2_product,
+    propagate_period,
 )
 from floquetdd.lindblad import LindbladModel, build_liouvillian
 from floquetdd.spin import JTensor
@@ -55,11 +63,78 @@ def fold_to_zone(mu: float, omega: float) -> float:
     return float(folded)
 
 
+def kron_liouvillian(h: np.ndarray, channels) -> np.ndarray:
+    """Superoperator of -i[H, rho] + sum_k g_k (L rho L^+ - {L^+L, rho}/2), C-order vec.
+
+    Assembled with ``np.kron``, one channel after the other, the terms of
+    each channel in the order of :func:`floquetdd.lindblad.build_liouvillian`.
+    """
+    d = h.shape[0]
+    ident = np.eye(d, dtype=complex)
+    out = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
+    for rate, op in channels:
+        ldl = op.conj().T @ op
+        out += rate * (
+            np.kron(op, op.conj()) - 0.5 * np.kron(ldl, ident) - 0.5 * np.kron(ident, ldl.T)
+        )
+    return out
+
+
 def dissipator_matrix(channels) -> np.ndarray:
     """Matrix of rho -> sum_k g_k (L rho L^+ - {L^+L, rho}/2), C-order vec."""
     channels = tuple(channels)
     d = channels[0][1].shape[0]
-    return build_liouvillian(LindbladModel(np.zeros((d, d)), channels))
+    return kron_liouvillian(np.zeros((d, d), dtype=complex), channels)
+
+
+def matmul_modes(sol: FloquetSolution) -> np.ndarray:
+    """Periodic modes phi_b(t_k) = e^{i mu_b t_k} U(t_k, 0) v_b as batched matrix-vector products.
+
+    The Floquet vectors v_b are the columns of the closed-form eigenvector
+    pair of the monodromy U(T): the column (v0, v1) has the quasienergy
+    +|mu|, its orthogonal (-conj(v1), conj(v0)) has -|mu|.  Each v_b is
+    checked against U(T) v_b = e^{-i mu_b T} v_b before use, so neither the
+    vectors nor their branch labels are read from ``sol.modes``.  Each
+    branch takes one ``propagators @ v_b`` over all samples, the batched
+    product that :func:`floquetdd.floquet.floquet_solve` writes out
+    elementwise.  Shape ``(2, n_samples, 2)``.
+    """
+    propagators = propagate_period(sol.drive, sol.grid)
+    monodromy = propagators[-1]
+    alpha, beta = monodromy[0]
+    s = np.sqrt(alpha.imag**2 + abs(beta) ** 2)
+    if alpha.imag <= 0.0:
+        v = np.array([s - alpha.imag, -1j * np.conj(beta)])
+    else:
+        v = np.array([1j * beta, s + alpha.imag])
+    v /= np.linalg.norm(v)
+    vectors = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+
+    times = sol.grid.times()
+    modes = np.empty((2, sol.grid.n_samples, 2), dtype=complex)
+    for row, mu in enumerate((sol.mu_plus, sol.mu_minus)):
+        vector = vectors[:, 0 if mu > 0.0 else 1]
+        eigen = np.exp(-1j * mu * sol.grid.period) * vector
+        # U(T) is unitary only to the round-off of its n_samples steps: its
+        # |alpha|^2 + |beta|^2 misses 1 by up to 1.6e-13 at n_samples = 2048
+        # (undriven atom), and a wrong vector misses by order 1.
+        np.testing.assert_allclose(monodromy @ vector, eigen, rtol=0, atol=1e-12)
+        phases = np.exp(1j * mu * times)
+        modes[row] = phases[:, None] * (propagators[:-1] @ vector)
+    return modes
+
+
+def loop_sigma_x_spectrum(sol: FloquetSolution) -> np.ndarray:
+    """All DFT bins of <phi_a(t)|sigma_x|phi_b(t)>, shape (2, 2, n_samples), one inverse FFT per pair."""
+    sx_modes = sol.modes @ SIGMA_X.T  # sigma_x |phi_b(t_k)>
+    n = sol.grid.n_samples
+    out = np.empty((2, 2, n), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            samples = np.sum(sol.modes[a].conj() * sx_modes[b], axis=-1)
+            # ifft carries both the e^{+imwt} kernel and the 1/n average
+            out[a, b] = np.fft.ifft(samples)
+    return out
 
 
 def quasienergy_difference_classes(
@@ -113,7 +188,7 @@ def build_D_operators(
     omega = solutions[0].drive.omega
     tol = tol_factor * omega
     n = solutions[0].grid.n_samples
-    spectra = [_sigma_x_spectrum(s) for s in solutions]
+    spectra = [loop_sigma_x_spectrum(s) for s in solutions]
     singles = [(s.mu_plus, s.mu_minus) for s in solutions]
 
     combos = list(itertools.product((0, 1), repeat=n_atoms))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy import constants
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single, omega_dd
@@ -12,13 +14,15 @@ from floquetdd.dipole import (
     coupling_coefficients,
     matrix_elements,
 )
-from floquetdd.errors import SidebandTruncationError
+from floquetdd.errors import DegenerateQuasienergiesError, SidebandTruncationError
 from floquetdd.floquet import DriveParams, TimeGrid, dressed_states, floquet_solve
 from floquetdd.lindblad import coarse_grained_coefficients
 from oracles import (
     build_D_operators,
     diagonalize_dissipator,
     dissipator_matrix,
+    loop_sigma_x_spectrum,
+    matmul_modes,
     quasienergy_difference_classes,
     sambe_matrix_elements,
 )
@@ -237,6 +241,51 @@ class TestBuildChannels:
         eye = np.eye(2, dtype=complex)
         sym = (np.kron(lower, eye) + np.kron(eye, lower)) / np.sqrt(2)
         np.testing.assert_allclose(channels.operators[2], sym, atol=1e-14)
+
+
+class TestElementwiseKernels:
+    """The elementwise mode build and the stacked sigma_x spectrum, against the forms they replace.
+
+    The oracles (tests/oracles.py) build the modes by batched 2x2
+    matrix-vector products and the spectrum by four inverse FFTs, one per
+    branch pair: the same products and sums in the same order, so modes,
+    Fourier amplitudes and sideband elements must agree bit for bit.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rabi=st.one_of(st.floats(0.0, 0.8), st.sampled_from([1.5, 3.0, 5.0])),
+        omega_eg=st.floats(0.1, 1.9),
+        log2_n=st.integers(6, 11),
+    )
+    def test_equal_to_the_matmul_and_loop_forms(self, rabi, omega_eg, log2_n):
+        try:
+            sol = solve(rabi * OMEGA, omega_eg * OMEGA, 2**log2_n)
+        except DegenerateQuasienergiesError:
+            reject()
+        modes = matmul_modes(sol)
+        assert np.array_equal(sol.modes, modes)
+        n = sol.grid.n_samples
+        kept = np.arange(-sol.truncation, sol.truncation + 1) % n
+        assert np.array_equal(sol.fourier, (np.fft.fft(modes, axis=1) / n)[:, kept, :])
+        table = matrix_elements(sol)
+        spectrum = loop_sigma_x_spectrum(sol)
+        assert np.array_equal(table.entries, spectrum[:, :, table.m_values % sol.grid.n_samples])
+
+    def test_one_inverse_fft_per_table(self, driven_detuned, monkeypatch):
+        # All four branch pairs go through one transform: a per-pair loop
+        # would call it four times.
+        calls = []
+        ifft = np.fft.ifft
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        sol, _ = driven_detuned
+        matrix_elements(sol)
+        assert calls == [(2, 2, sol.grid.n_samples)]
 
 
 class TestSambeSidebandOracle:

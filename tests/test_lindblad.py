@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
 from floquetdd.errors import HierarchyViolationError, PhysicsError, SteadyStateDegeneracyError
+from floquetdd import lindblad
 from floquetdd.floquet import DriveParams, TimeGrid, floquet_solve
 from floquetdd.lindblad import (
     LindbladModel,
@@ -20,7 +21,7 @@ from floquetdd.lindblad import (
     steady_state,
     validate_density_matrix,
 )
-from oracles import stepwise_evolve
+from oracles import kron_liouvillian, stepwise_evolve
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 LOWER = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -91,27 +92,39 @@ class TestLiouvillian:
         identity_vec = np.eye(2, dtype=complex).reshape(-1)
         assert np.linalg.norm(identity_vec.conj() @ liou) < 1e-12 * np.linalg.norm(liou)
 
-    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_equals_kron_assembly(self, d):
-        # Oracle: the same formula assembled with np.kron, term for term in
-        # the same order; the superoperator must agree to the last bit.
+        # Oracle: the same formula assembled with np.kron, one channel after
+        # the other, term for term in the same order (tests/oracles.py); the
+        # stacked superoperator must agree to the last bit, also without channels.
         rng = np.random.default_rng(d)
-        for _ in range(20):
+        for k in range(20):
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = 0.5 * (a + a.conj().T)
             channels = tuple(
                 (rng.uniform(0.0, 3.0), rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-                for _ in range(rng.integers(1, 7))
+                for _ in range(0 if k == 0 else rng.integers(1, 7))
             )
-            ident = np.eye(d, dtype=complex)
-            expected = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-            for rate, op in channels:
-                ldl = op.conj().T @ op
-                expected += rate * (
-                    np.kron(op, op.conj()) - 0.5 * np.kron(ldl, ident) - 0.5 * np.kron(ident, ldl.T)
-                )
             liou = build_liouvillian(LindbladModel(hamiltonian=h, channels=channels))
-            np.testing.assert_array_equal(liou, expected)
+            np.testing.assert_array_equal(liou, kron_liouvillian(h, channels))
+
+    def test_kron_calls_do_not_grow_with_the_channels(self, monkeypatch):
+        # The terms of all channels are built as one stack: a per-channel
+        # loop would call kron three more times per channel.
+        calls = []
+        kron = lindblad.kron
+
+        def counted(a, b):
+            calls.append(1)
+            return kron(a, b)
+
+        monkeypatch.setattr(lindblad, "kron", counted)
+        counts = []
+        for n_channels in (1, 6):
+            calls.clear()
+            build_liouvillian(LindbladModel(SZ, tuple((0.3, LOWER) for _ in range(n_channels))))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_evolve_matches_ode_oracle_on_random_model(self):
         # Oracle: the matrix-form master equation integrated by an adaptive
