@@ -13,6 +13,7 @@ byte-identical across repeated runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -449,7 +450,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and shared by every
+    ``main`` call; each ``parse_args`` call fills a fresh namespace."""
     parser = _Parser(prog="floquetdd", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _RUNNERS:

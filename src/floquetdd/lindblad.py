@@ -62,6 +62,13 @@ _STEADY_RESIDUAL_TOL = 1e-10
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-9
+# validate_density_matrix runs each check on this many states at a time, so
+# its temporaries stay near 2.5 times the chunk (1024 states of a pair,
+# 256 kB) however long the stack.  On 7642 pair states the checks take
+# 6.4 ms in chunks of 128, 4.4 ms in chunks of 1024 and 4.2 ms in chunks of
+# 4096 (0.11, 0.66 and 2.2 MB of temporaries): past 1024, numpy's per-call
+# overhead no longer shows.
+_VALIDATION_CHUNK = 1024
 
 # Dressed product states of the pair, in the order of the FME basis and of
 # the rows of every two-atom matrix built from the Floquet solution.
@@ -70,10 +77,11 @@ DRESSED_PAIR_LABELS = ("++", "+-", "-+", "--")
 # The largest count a run may ask for: evolve's report times (the CLI's
 # evolve n_times and compare's report grid), taumap's n_rabi and n_omega_eg,
 # and their product, the taumap cell count.  Every counted entry is held in
-# memory at once, at a peak of about 0.9 kB per evolve time (0.90 kB at 1e6
-# times on the Bloch pair) and 0.2 kB per taumap cell, and written as one
-# CSV row, so a run at the cap stays within about 1.2 GB (the peak of a
-# compare at the cap); a count is refused before any array is allocated.
+# memory at once, at a peak of about 0.54 kB per evolve time (0.536 kB at
+# 1e5 times on the Bloch pair: its 0.256 kB of states and their conjugate
+# transpose) and 0.2 kB per taumap cell, and written as one CSV row, so a
+# run at the cap stays within about 0.8 GB (a compare peaks at 0.79 kB per
+# report time at 1e5 times); a count is refused before any array is allocated.
 MAX_COUNT = 1_000_000
 
 # Report times per dressed beat in fme_vs_obe_compare: enough to resolve the
@@ -128,21 +136,48 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace and near-positivity of a state.
 
     Accepts one state (d, d) or a stack (..., d, d); every state in the
-    stack must pass.
+    stack must pass.  The checks run in this order, each over the whole
+    stack before the next starts, so a stack that fails several is refused
+    by the first: finite entries, Hermiticity within 1e-10 per entry, trace
+    within 1e-10 of one, and no eigenvalue of the Hermitian part below
+    -1e-9.  Positivity is a Cholesky factorization of the Hermitian part
+    plus 1e-9 * 1, which succeeds exactly when its smallest eigenvalue lies
+    above -1e-9 (up to round-off).  Every check works through the stack in
+    chunks of ``_VALIDATION_CHUNK`` states, so no temporary grows with it.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix has non-finite entries")
-    rho_dag = np.swapaxes(rho, -1, -2).conj()
-    if np.any(np.abs(rho - rho_dag) > _HERMITICITY_TOL):
-        raise ValueError("density matrix is not Hermitian")
-    trace = np.trace(rho, axis1=-2, axis2=-1)
-    if np.any(np.abs(trace.real - 1.0) > _TRACE_TOL) or np.any(np.abs(trace.imag) > _TRACE_TOL):
-        raise ValueError("density matrix trace differs from one")
-    if np.any(np.linalg.eigvalsh(0.5 * (rho + rho_dag)) < _EIGENVALUE_FLOOR):
-        raise ValueError("density matrix has a significantly negative eigenvalue")
+    d = rho.shape[-1]
+    flat = rho.reshape(math.prod(rho.shape[:-2]), d, d)
+    chunks = [flat[k : k + _VALIDATION_CHUNK] for k in range(0, len(flat), _VALIDATION_CHUNK)]
+    diagonal = np.arange(d)
+
+    def non_hermitian(chunk):
+        return np.any(np.abs(chunk - np.swapaxes(chunk, 1, 2).conj()) > _HERMITICITY_TOL)
+
+    def off_trace(chunk):
+        trace = np.trace(chunk, axis1=1, axis2=2)
+        real_off, imag_off = np.abs(trace.real - 1.0), np.abs(trace.imag)
+        return np.any(real_off > _TRACE_TOL) or np.any(imag_off > _TRACE_TOL)
+
+    def negative(chunk):
+        shifted = 0.5 * (chunk + np.swapaxes(chunk, 1, 2).conj())
+        shifted[:, diagonal, diagonal] -= _EIGENVALUE_FLOOR
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return True
+        return False
+
+    for fails, message in (
+        (lambda chunk: not np.all(np.isfinite(chunk)), "has non-finite entries"),
+        (non_hermitian, "is not Hermitian"),
+        (off_trace, "trace differs from one"),
+        (negative, "has a significantly negative eigenvalue"),
+    ):
+        if any(fails(chunk) for chunk in chunks):
+            raise ValueError(f"density matrix {message}")
     return rho
 
 
@@ -333,6 +368,13 @@ def smoothed_populations(populations: np.ndarray, window: int) -> tuple[np.ndarr
     return np.stack(cols, axis=1), slice(half, populations.shape[0] - half)
 
 
+def _populations_in(basis: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Populations of the columns of the unitary ``basis`` in each state of
+    the stack: the diagonal of basis^+ rho basis, summed term for term as in
+    the whole rotated stack, whose off-diagonal entries are never built."""
+    return np.real(np.einsum("ij,tjk,ki->ti", basis.conj().T, states, basis))
+
+
 @dataclass(frozen=True)
 class FmeObeComparison:
     """Outcome of evolving the Floquet-Markov and Bloch models side by side.
@@ -437,8 +479,7 @@ def fme_vs_obe_compare(
     traj_o = evolve(obe, rho_o0, times)
 
     pop_f = np.real(np.einsum("tii->ti", traj_f))
-    dressed_o = np.einsum("ij,tjk,kl->til", w2.conj().T, traj_o, w2)
-    pop_o = np.real(np.einsum("tii->ti", dressed_o))
+    pop_o = _populations_in(w2, traj_o)
 
     dt_report = times[1] - times[0]
     # an odd number of samples centres the average on a report time

@@ -18,6 +18,12 @@ None of these is used by the package itself:
   the chunked step build there
 * the master equation stepped report by report, the oracle of the block
   powers in :func:`floquetdd.lindblad.evolve`
+* the density-matrix checks with ``np.linalg.eigvalsh`` on the whole
+  stack, the oracle of the chunked Cholesky checks in
+  :func:`floquetdd.lindblad.validate_density_matrix`, and the Bloch
+  trajectory rotated whole before its diagonal is read, the bit-exact
+  oracle of the populations in
+  :func:`floquetdd.lindblad.fme_vs_obe_compare`
 * the Floquet modes as batched 2x2 matrix-vector products, the sideband
   spectrum of sigma_x as four inverse FFTs, and the Liouvillian assembled
   with ``np.kron`` channel by channel: the forms the package's elementwise
@@ -47,7 +53,13 @@ from floquetdd.floquet import (
     _su2_product,
     propagate_period,
 )
-from floquetdd.lindblad import LindbladModel, build_liouvillian
+from floquetdd.lindblad import (
+    _EIGENVALUE_FLOOR,
+    _HERMITICITY_TOL,
+    _TRACE_TOL,
+    LindbladModel,
+    build_liouvillian,
+)
 from floquetdd.spin import JTensor
 
 
@@ -430,3 +442,31 @@ def stepwise_evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray
         rho = 0.5 * (rho + rho.conj().T)
         out[k] = rho
     return out
+
+
+def eigvalsh_validate(rho: np.ndarray) -> np.ndarray:
+    """Finite entries, Hermiticity, unit trace and no eigenvalue of the
+    Hermitian part below the floor, each checked on the whole stack at once,
+    positivity by ``np.linalg.eigvalsh``; the same messages, in the same
+    order, as :func:`floquetdd.lindblad.validate_density_matrix`."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise ValueError("density matrix must be square")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
+    rho_dag = np.swapaxes(rho, -1, -2).conj()
+    if np.any(np.abs(rho - rho_dag) > _HERMITICITY_TOL):
+        raise ValueError("density matrix is not Hermitian")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    if np.any(np.abs(trace.real - 1.0) > _TRACE_TOL) or np.any(np.abs(trace.imag) > _TRACE_TOL):
+        raise ValueError("density matrix trace differs from one")
+    if np.any(np.linalg.eigvalsh(0.5 * (rho + rho_dag)) < _EIGENVALUE_FLOOR):
+        raise ValueError("density matrix has a significantly negative eigenvalue")
+    return rho
+
+
+def rotated_populations(basis: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Populations of the columns of ``basis``: the whole rotated stack
+    basis^+ rho basis, then its diagonal."""
+    rotated = np.einsum("ij,tjk,kl->til", basis.conj().T, states, basis)
+    return np.real(np.einsum("tii->ti", rotated))

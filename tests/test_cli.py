@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import constants
 
-from floquetdd import floquet, lindblad
+from floquetdd import cli, floquet, lindblad
 from floquetdd.cli import main
 from floquetdd.io import read_csv
 from floquetdd.lindblad import MAX_COUNT
@@ -337,6 +339,57 @@ class TestErrorPaths:
         assert "task.horizon 1.0 s asks for about 2.55e+08 report times" in err
         assert "give a horizon of at most 0.00392 s" in err
         assert list(out.iterdir()) == []
+
+
+def _written(out):
+    """File name -> bytes of everything a run wrote into ``out``."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+def _error_lines(stderr):
+    return [line for line in stderr.splitlines() if line.startswith("error:")]
+
+
+class TestSharedParser:
+    """``main`` builds the parser once per process; a later call behaves as
+    it would in a process of its own."""
+
+    CALLS = [
+        ("taumap", "--threads", "2"),
+        ("floquet",),
+        ("taumap", "--threads", "0"),
+    ]
+
+    def test_one_parser_gives_what_fresh_processes_give(self, tmp_path, capsys, monkeypatch):
+        progs = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        scenario = write_scenario(tmp_path, numerics={"n_samples": 256}, task=taumap_task())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        codes = []
+        for k, (subcommand, *extra) in enumerate(self.CALLS):
+            shared, fresh = tmp_path / f"shared{k}", tmp_path / f"fresh{k}"
+            code = run(subcommand, scenario, shared, *extra)
+            errors = _error_lines(capsys.readouterr().err)
+            argv = [subcommand, "--scenario", str(scenario), "--out", str(fresh), *extra]
+            proc = subprocess.run(
+                [sys.executable, "-m", "floquetdd", *argv], env=env, capture_output=True, text=True
+            )
+            assert (code, errors) == (proc.returncode, _error_lines(proc.stderr))
+            assert _written(shared) == _written(fresh)
+            codes.append(code)
+        assert codes == [0, 0, 1]
+        assert "--threads" in errors[0]
+        # the parser and its nine subparsers, each built once over the three calls
+        built = ["floquetdd", *(f"floquetdd {name}" for name in cli._RUNNERS)]
+        assert sorted(progs) == sorted(built)
 
 
 class TestPipelineCommands:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,12 @@ from floquetdd.lindblad import (
     steady_state,
     validate_density_matrix,
 )
-from oracles import kron_liouvillian, stepwise_evolve
+from oracles import (
+    eigvalsh_validate,
+    kron_liouvillian,
+    rotated_populations,
+    stepwise_evolve,
+)
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 LOWER = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -455,6 +462,39 @@ class TestComparison:
         expected[3, 3] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-9)
 
+    @given(
+        n=st.integers(2, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        decades=st.floats(0.0, 14.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_populations_equal_the_whole_rotation(self, n, seed, decades):
+        # random unitary basis, Hermitian stack with entries from 1e-14 to 1
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+        a *= 10.0 ** -rng.uniform(0.0, decades, size=(n, 1, 1))
+        states = a + np.swapaxes(a, 1, 2).conj()
+        assert np.array_equal(
+            lindblad._populations_in(basis, states), rotated_populations(basis, states)
+        )
+
+    def test_rydberg_bloch_populations_equal_the_whole_rotation(self, monkeypatch):
+        seen = []
+        populations_in = lindblad._populations_in
+
+        def recorded(basis, states):
+            seen.append((basis, states, populations_in(basis, states)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(lindblad, "_populations_in", recorded)
+        drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
+        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 3e-5, "+-", 1024)
+        (basis, states, pops), = seen
+        assert states.shape == (comparison.times.size, 4, 4)
+        assert pops is comparison.pop_obe
+        assert np.array_equal(pops, rotated_populations(basis, states))
+
     def test_exchange_symmetry_under_both_models(self):
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
         comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 5e-6, "+-", 1024)
@@ -487,3 +527,122 @@ def test_validate_density_matrix():
         validate_density_matrix(np.stack([good, np.diag([1.5, -0.5])]))
     with pytest.raises(ValueError):
         validate_density_matrix(np.stack([good, np.full((2, 2), np.nan)]))
+
+
+def _rotated_state(eigenvalues, seed=0):
+    """U diag(eigenvalues) U^+ for a random unitary U, Hermitian entry by entry."""
+    rng = np.random.default_rng(seed)
+    d = len(eigenvalues)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rho = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+def _random_states(n, seed, d=4):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    rho = a @ np.swapaxes(a, 1, 2).conj()
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return 0.5 * (rho + np.swapaxes(rho, 1, 2).conj())
+
+
+def _outcome(validate, rho):
+    """The message of the refusal, or None when ``rho`` passes."""
+    try:
+        validate(rho)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+# One state of each kind that the checks tell apart; the last two lie a
+# tenth of the floor on either side of the -1e-9 eigenvalue floor.
+FAULTS = {
+    "nan": lambda: np.full((4, 4), np.nan),
+    "non-hermitian": lambda: (
+        _rotated_state([0.4, 0.3, 0.2, 0.1]) + np.triu(np.full((4, 4), 1e-9), 1)
+    ),
+    "off-trace": lambda: _rotated_state([0.4, 0.3, 0.2, 0.1 + 1e-9]),
+    "negative": lambda: _rotated_state([0.4, 0.3, 0.3 + 1.1e-9, -1.1e-9]),
+    "at-floor": lambda: _rotated_state([0.4, 0.3, 0.3 + 0.9e-9, -0.9e-9]),
+}
+MESSAGES = {
+    "nan": "density matrix has non-finite entries",
+    "non-hermitian": "density matrix is not Hermitian",
+    "off-trace": "density matrix trace differs from one",
+    "negative": "density matrix has a significantly negative eigenvalue",
+    "at-floor": None,
+}
+
+
+class TestValidateDensityMatrix:
+    """The chunked Cholesky checks refuse what the whole-stack eigvalsh
+    checks refuse, with the same message, wherever the state sits."""
+
+    CHUNK = lindblad._VALIDATION_CHUNK
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    def test_single_state(self, kind):
+        rho = FAULTS[kind]()
+        assert _outcome(validate_density_matrix, rho) == MESSAGES[kind]
+        assert _outcome(eigvalsh_validate, rho) == MESSAGES[kind]
+
+    @pytest.mark.parametrize("kind", FAULTS)
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_state_in_a_later_chunk(self, kind, where):
+        # the state sits at the start, inside or at the end of the second chunk
+        stack = _random_states(2 * self.CHUNK + 5, seed=1)
+        k = (self.CHUNK, self.CHUNK + 17, 2 * self.CHUNK - 1)[where]
+        stack[k] = FAULTS[kind]()
+        assert _outcome(validate_density_matrix, stack) == MESSAGES[kind]
+        assert _outcome(eigvalsh_validate, stack) == MESSAGES[kind]
+
+    @pytest.mark.parametrize("later", ["nan", "non-hermitian", "off-trace"])
+    def test_each_check_runs_over_the_whole_stack_first(self, later):
+        # a negative state in chunk 0 and another fault in chunk 2: the
+        # earlier check in the order refuses, as on the whole stack at once
+        stack = _random_states(3 * self.CHUNK, seed=2)
+        stack[3] = FAULTS["negative"]()
+        stack[2 * self.CHUNK + 9] = FAULTS[later]()
+        assert _outcome(validate_density_matrix, stack) == MESSAGES[later]
+        assert _outcome(eigvalsh_validate, stack) == MESSAGES[later]
+
+    @given(
+        n=st.integers(1, 2600),
+        faults=st.lists(
+            st.tuples(st.sampled_from(sorted(FAULTS)), st.integers(0, 10**6)), max_size=3
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_same_outcome_as_eigvalsh_oracle(self, n, faults, seed):
+        stack = _random_states(n, seed)
+        for kind, where in faults:
+            stack[where % n] = FAULTS[kind]()
+        assert _outcome(validate_density_matrix, stack) == _outcome(eigvalsh_validate, stack)
+
+    def test_returns_the_input_stack(self):
+        stack = _random_states(5, seed=3).reshape(5, 1, 4, 4)
+        assert validate_density_matrix(stack) is stack
+
+    def test_temporaries_stay_below_half_the_stack(self):
+        # about the compare grid of the Rydberg pair at 3e-5 s (7641 states)
+        stack = _random_states(7642, seed=4)
+        validate_density_matrix(stack)
+        tracemalloc.start()
+        try:
+            validate_density_matrix(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * stack.nbytes
+
+    def test_evolve_and_compare_need_no_eigvalsh(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+        model = LindbladModel(hamiltonian=1.1 * SX, channels=((0.7, LOWER),))
+        evolve(model, excited(), np.linspace(0.0, 12.0, 25))
+        drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
+        fme_vs_obe_compare(drive, RYDBERG, VACUUM, 5e-6, "+-", 1024)
