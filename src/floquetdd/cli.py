@@ -135,26 +135,13 @@ def _run_channels(scenario: Scenario) -> _Run:
 # product Floquet basis (DRESSED_PAIR_LABELS) and the bare OBE basis.
 _BASES = {"fme": ("pp", "pm", "mp", "mm"), "obe": ("ee", "eg", "ge", "gg")}
 
-def _count(lo: int):
-    """The reader of an integer count of at least ``lo`` and at most MAX_COUNT."""
-    read_range = within(integer, lo, math.inf)
-
-    def read(value) -> int:
-        out = read_range(value)
-        if out > MAX_COUNT:
-            raise ValueError(f"must be at most {MAX_COUNT:g}, got {value!r}")
-        return out
-
-    return read
-
-
 # The task keys of each subcommand that reads its task block, as read by
 # ``scenario.read_block``; a subcommand not listed ignores the block.
 TASK_KEYS = {
     "evolve": {
         "model": (one_of(*_BASES), REQUIRED),
         "t_final": (positive, REQUIRED),
-        "n_times": (_count(2), 201),
+        "n_times": (within(integer, 2, MAX_COUNT), 201),
         "initial_state": (one_of(*_BASES["fme"], *_BASES["obe"]), REQUIRED),
     },
     "steady": {"model": (one_of(*_BASES), REQUIRED)},
@@ -167,10 +154,10 @@ TASK_KEYS = {
     "taumap": {
         "rabi_over_omega_min": (non_negative, REQUIRED),
         "rabi_over_omega_max": (non_negative, REQUIRED),
-        "n_rabi": (_count(1), REQUIRED),
+        "n_rabi": (within(integer, 1, MAX_COUNT), REQUIRED),
         "omega_eg_over_omega_min": (positive, REQUIRED),
         "omega_eg_over_omega_max": (positive, REQUIRED),
-        "n_omega_eg": (_count(1), REQUIRED),
+        "n_omega_eg": (within(integer, 1, MAX_COUNT), REQUIRED),
     },
     "compare": {
         "horizon": (positive, REQUIRED),

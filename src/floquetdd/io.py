@@ -113,27 +113,16 @@ class ResultBundle:
     inputs: dict
     outputs: dict
     version: str
-    schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "tool": "floquetdd",
             "version": self.version,
             "task": self.task,
             "inputs": self.inputs,
             "outputs": self.outputs,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultBundle":
-        return cls(
-            task=data["task"],
-            inputs=data["inputs"],
-            outputs=data["outputs"],
-            version=data["version"],
-            schema_version=data["schema_version"],
-        )
 
 
 def emit_json(bundle: ResultBundle, path) -> None:
@@ -146,5 +135,10 @@ def emit_json(bundle: ResultBundle, path) -> None:
 
 
 def read_json(path) -> ResultBundle:
+    """Read back an emitted bundle; one of another schema version is a ``ValueError``."""
     with open(path, "r") as fh:
-        return ResultBundle.from_dict(json.load(fh))
+        data = json.load(fh)
+    found = data.get("schema_version")
+    if found != SCHEMA_VERSION:
+        raise ValueError(f"bundle schema version {found!r} is not {SCHEMA_VERSION!r}")
+    return ResultBundle(data["task"], data["inputs"], data["outputs"], data["version"])

@@ -67,7 +67,7 @@ _EIGENVALUE_FLOOR = -1e-9
 # 256 kB) however long the stack.  On 7642 pair states the checks take
 # 6.4 ms in chunks of 128, 4.4 ms in chunks of 1024 and 4.2 ms in chunks of
 # 4096 (0.11, 0.66 and 2.2 MB of temporaries): past 1024, numpy's per-call
-# overhead no longer shows.
+# overhead no longer shows.  evolve Hermitizes its stack in the same chunks.
 _VALIDATION_CHUNK = 1024
 
 # Dressed product states of the pair, in the order of the FME basis and of
@@ -77,11 +77,12 @@ DRESSED_PAIR_LABELS = ("++", "+-", "-+", "--")
 # The largest count a run may ask for: evolve's report times (the CLI's
 # evolve n_times and compare's report grid), taumap's n_rabi and n_omega_eg,
 # and their product, the taumap cell count.  Every counted entry is held in
-# memory at once, at a peak of about 0.54 kB per evolve time (0.536 kB at
-# 1e5 times on the Bloch pair: its 0.256 kB of states and their conjugate
-# transpose) and 0.2 kB per taumap cell, and written as one CSV row, so a
-# run at the cap stays within about 0.8 GB (a compare peaks at 0.79 kB per
-# report time at 1e5 times); a count is refused before any array is allocated.
+# memory at once, at a peak of about 0.29 kB per evolve time (0.285 kB at
+# 1e5 times on the Bloch pair: its 0.256 kB of states, Hermitized in place)
+# and 0.2 kB per taumap cell, and written as one CSV row, so a run at the cap
+# stays within about 0.65 GB (a compare, which holds both trajectories, peaks
+# at 0.617 kB per report time at 1e5 times); a count is refused before any
+# array is allocated.
 MAX_COUNT = 1_000_000
 
 # Report times per dressed beat in fme_vs_obe_compare: enough to resolve the
@@ -250,8 +251,11 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
         starts[j] = stride @ starts[j - 1]
     # state j * block + k is P^k (P^block)^j rho0
     states = np.tensordot(starts, powers, axes=(1, 2)).reshape(-1, d, d)[:n]
-    states += np.swapaxes(states, 1, 2).conj()
-    states *= 0.5
+    # in place, a chunk at a time, so no conjugate copy of the whole stack is made
+    for k in range(0, n, _VALIDATION_CHUNK):
+        chunk = states[k : k + _VALIDATION_CHUNK]
+        chunk += np.swapaxes(chunk, 1, 2).conj()
+        chunk *= 0.5
     try:
         return validate_density_matrix(states)
     except ValueError as err:
@@ -368,13 +372,6 @@ def smoothed_populations(populations: np.ndarray, window: int) -> tuple[np.ndarr
     return np.stack(cols, axis=1), slice(half, populations.shape[0] - half)
 
 
-def _populations_in(basis: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Populations of the columns of the unitary ``basis`` in each state of
-    the stack: the diagonal of basis^+ rho basis, summed term for term as in
-    the whole rotated stack, whose off-diagonal entries are never built."""
-    return np.real(np.einsum("ij,tjk,ki->ti", basis.conj().T, states, basis))
-
-
 @dataclass(frozen=True)
 class FmeObeComparison:
     """Outcome of evolving the Floquet-Markov and Bloch models side by side.
@@ -383,18 +380,24 @@ class FmeObeComparison:
     ``DRESSED_PAIR_LABELS``; the smoothed Bloch populations carry a centered
     moving average over ``window_samples`` report steps (10/omega_gen
     rounded to steps, then up to odd) and align with ``times[interior]``.
-    ``window_samples`` and ``max_deviation`` are read from the stored arrays.
+    ``window_samples``, ``interior`` and ``max_deviation`` are read from the
+    stored arrays.
     """
 
     times: np.ndarray
     pop_fme: np.ndarray
     pop_obe: np.ndarray
     pop_obe_smoothed: np.ndarray
-    interior: slice
 
     @property
     def window_samples(self) -> int:
         return len(self.times) - len(self.pop_obe_smoothed) + 1
+
+    @property
+    def interior(self) -> slice:
+        """The report times the smoothed Bloch populations align with."""
+        half = (self.window_samples - 1) // 2
+        return slice(half, len(self.times) - half)
 
     @property
     def max_deviation(self) -> float:
@@ -419,10 +422,12 @@ def fme_vs_obe_compare(
     10/omega_gen smoothing window or one whose report grid, 16 times per
     dressed beat, holds more than ``MAX_COUNT`` times, before any model or
     array is built.
-    Both models start in the same dressed product state and are advanced
-    with :func:`evolve` on the uniform report grid; the
-    Bloch trajectory is rotated into the dressed basis and smoothed over a
-    10/omega_gen window before the deviation is taken.
+    The Bloch model is rotated once into the dressed product basis of the
+    Floquet-Markov model (H -> W^+ H W and L_k -> W^+ L_k W, rates
+    unchanged); both then start in the same dressed product state and are
+    advanced with :func:`evolve` on the uniform report grid, and the Bloch
+    populations are smoothed over a 10/omega_gen window before the
+    deviation is taken.
     """
     report = timescale_report(drive, geometry, bath, n_samples=n_samples)
     scales_ok = (
@@ -465,26 +470,23 @@ def fme_vs_obe_compare(
     rho_f0[start, start] = 1.0
 
     fme = fme_model(floquet_solve(drive, TimeGrid.for_drive(drive, n_samples)), geometry, bath)
-    obe = obe_reference(drive, geometry, bath)
-
     # Dressed single-atom frame at t=0: columns |+>, |->.
     w1 = np.stack([gen.plus_state(), gen.minus_state()], axis=1)
     w2 = kron(w1, w1)
-    rho_o0 = w2 @ rho_f0 @ w2.conj().T
+    bare = obe_reference(drive, geometry, bath)
+    obe = LindbladModel(
+        hamiltonian=w2.conj().T @ bare.hamiltonian @ w2,
+        channels=tuple((rate, w2.conj().T @ op @ w2) for rate, op in bare.channels),
+    )
 
     n_report = max(400, int(np.ceil(reports)))
     times = np.linspace(0.0, horizon, n_report + 1)
-
-    traj_f = evolve(fme, rho_f0, times)
-    traj_o = evolve(obe, rho_o0, times)
-
-    pop_f = np.real(np.einsum("tii->ti", traj_f))
-    pop_o = _populations_in(w2, traj_o)
+    pop_f, pop_o = (
+        np.real(np.einsum("tii->ti", evolve(model, rho_f0, times))) for model in (fme, obe)
+    )
 
     dt_report = times[1] - times[0]
     # an odd number of samples centres the average on a report time
     window = max(int(round(smoothing / dt_report)), 1) | 1
-    smoothed, interior = smoothed_populations(pop_o, window)
-    return FmeObeComparison(
-        times=times, pop_fme=pop_f, pop_obe=pop_o, pop_obe_smoothed=smoothed, interior=interior
-    )
+    smoothed, _ = smoothed_populations(pop_o, window)
+    return FmeObeComparison(times=times, pop_fme=pop_f, pop_obe=pop_o, pop_obe_smoothed=smoothed)

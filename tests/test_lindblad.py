@@ -10,8 +10,9 @@ from scipy.integrate import solve_ivp
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
 from floquetdd.errors import HierarchyViolationError, PhysicsError, SteadyStateDegeneracyError
 from floquetdd import lindblad
-from floquetdd.floquet import DriveParams, TimeGrid, floquet_solve
+from floquetdd.floquet import DriveParams, TimeGrid, dressed_states, floquet_solve, kron
 from floquetdd.lindblad import (
+    DRESSED_PAIR_LABELS,
     LindbladModel,
     build_liouvillian,
     coarse_grained_coefficients,
@@ -236,6 +237,24 @@ class TestEvolve:
         evolve(model, gg, np.linspace(0.0, 0.03, n))
         with pytest.raises(PhysicsError, match="t_final"):
             evolve(model, gg, np.linspace(0.0, 0.1, n))
+
+    # tracemalloc peak of one evolve over its report times: each returned
+    # state holds 0.256 kB.  Measured on the Rydberg Bloch pair at 1e5 times:
+    # 0.285 kB per time, against 0.536 kB when the stack was Hermitized with
+    # its whole conjugate transpose as one temporary.
+    PEAK_KB_PER_TIME = 0.35
+
+    def test_hermitizing_copies_no_whole_stack(self, evolve_cases):
+        model, rho0, t_final = evolve_cases["obe"]
+        times = np.linspace(0.0, t_final, 100_000)
+        evolve(model, rho0, times)
+        tracemalloc.start()
+        try:
+            evolve(model, rho0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e3 / times.size < self.PEAK_KB_PER_TIME
 
 
 @pytest.fixture(scope="module")
@@ -462,38 +481,35 @@ class TestComparison:
         expected[3, 3] = 1.0
         np.testing.assert_allclose(rho, expected, atol=1e-9)
 
-    @given(
-        n=st.integers(2, 3000),
-        seed=st.integers(0, 2**32 - 1),
-        decades=st.floats(0.0, 14.0),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_populations_equal_the_whole_rotation(self, n, seed, decades):
-        # random unitary basis, Hermitian stack with entries from 1e-14 to 1
-        rng = np.random.default_rng(seed)
-        basis, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        a = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
-        a *= 10.0 ** -rng.uniform(0.0, decades, size=(n, 1, 1))
-        states = a + np.swapaxes(a, 1, 2).conj()
-        assert np.array_equal(
-            lindblad._populations_in(basis, states), rotated_populations(basis, states)
-        )
+    # The Bloch model rotated once into the dressed frame against the bare
+    # model evolved from the rotated start state, each report rotated out:
+    # the two differ by the round-off of evolve, of order
+    # eps * ||L|| * horizon = 2.2e-16 * 2e8 /s * 3e-5 s = 1.3e-12.
+    # Measured: at most 5.9e-13 over the four cases.
+    BLOCH_FRAME_TOL = 2e-12
 
-    def test_rydberg_bloch_populations_equal_the_whole_rotation(self, monkeypatch):
-        seen = []
-        populations_in = lindblad._populations_in
-
-        def recorded(basis, states):
-            seen.append((basis, states, populations_in(basis, states)))
-            return seen[-1][2]
-
-        monkeypatch.setattr(lindblad, "_populations_in", recorded)
+    @pytest.mark.parametrize("label", ["+-", "++"])
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_bloch_populations_equal_the_bare_basis_pipeline(self, label, temperature):
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
-        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 3e-5, "+-", 1024)
-        (basis, states, pops), = seen
-        assert states.shape == (comparison.times.size, 4, 4)
-        assert pops is comparison.pop_obe
-        assert np.array_equal(pops, rotated_populations(basis, states))
+        bath = BathParams(temperature=temperature)
+        comparison = fme_vs_obe_compare(drive, RYDBERG, bath, 3e-5, label, 1024)
+        gen = dressed_states(drive)
+        w1 = np.stack([gen.plus_state(), gen.minus_state()], axis=1)
+        w2 = kron(w1, w1)
+        start = DRESSED_PAIR_LABELS.index(label)
+        rho_f0 = np.zeros((4, 4), dtype=complex)
+        rho_f0[start, start] = 1.0
+        bare = evolve(obe_reference(drive, RYDBERG, bath), w2 @ rho_f0 @ w2.conj().T, comparison.times)
+        expected = rotated_populations(w2, bare)
+        assert np.max(np.abs(comparison.pop_obe - expected)) <= self.BLOCH_FRAME_TOL
+
+    def test_interior_is_the_smoothing_slice(self):
+        drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)
+        comparison = fme_vs_obe_compare(drive, RYDBERG, VACUUM, 1e-6, "+-", 1024)
+        smoothed, interior = smoothed_populations(comparison.pop_obe, comparison.window_samples)
+        assert comparison.interior == interior
+        assert np.array_equal(comparison.pop_obe_smoothed, smoothed)
 
     def test_exchange_symmetry_under_both_models(self):
         drive = DriveParams(omega=1e10, rabi=1e8, omega_eg=1e10)

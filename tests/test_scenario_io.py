@@ -418,3 +418,15 @@ class TestJsonEmission:
         path = tmp_path / "s.json"
         emit_json(bundle, path)
         assert json.loads(path.read_text())["schema_version"] == "1"
+
+    @pytest.mark.parametrize("found", ["2", 1, None], ids=["newer", "number", "missing"])
+    def test_other_schema_version_refused(self, tmp_path, found):
+        data = ResultBundle(task="demo", inputs={}, outputs={}, version="0.1.0").to_dict()
+        if found is None:
+            del data["schema_version"]
+        else:
+            data["schema_version"] = found
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"schema version {found!r} is not '1'"):
+            read_json(path)
