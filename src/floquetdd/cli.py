@@ -192,18 +192,19 @@ def _run_evolve(scenario: Scenario) -> _Run:
     rho0 = _initial_state(params["initial_state"], model_name)
     times = np.linspace(0.0, params["t_final"], params["n_times"])
     traj = evolve(model, rho0, times)
-    pops = np.real(np.einsum("tii->ti", traj))
+    # a copy of the diagonal, one row per column, so that the table does not hold the stack
+    pops = np.einsum("tii->it", traj).real.copy()
     basis = _BASES[model_name]
     table = Table(
         columns=("time_s",) + tuple(f"pop_{b}" for b in basis) + ("trace",),
-        data=(times, *pops.T, np.trace(traj, axis1=1, axis2=2).real),
+        data=(times, *pops, np.trace(traj, axis1=1, axis2=2).real),
     )
     outputs = {
         "model": model_name,
         "basis": list(basis),
         "final_state": matrix_to_json(traj[-1]),
     }
-    summary = f"evolved {model_name} to t={params['t_final']:.3e} s; final populations: {pops[-1]}"
+    summary = f"evolved {model_name} to t={params['t_final']:.3e} s; final populations: {pops[:, -1]}"
     return _Run({"trajectory.csv": table}, "evolve.json", outputs, summary)
 
 

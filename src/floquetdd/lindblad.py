@@ -481,8 +481,10 @@ def fme_vs_obe_compare(
 
     n_report = max(400, int(np.ceil(reports)))
     times = np.linspace(0.0, horizon, n_report + 1)
+    # a copy of the diagonal, in columns, so that neither 4x4 stack outlives its populations
     pop_f, pop_o = (
-        np.real(np.einsum("tii->ti", evolve(model, rho_f0, times))) for model in (fme, obe)
+        np.einsum("tii->ti", evolve(model, rho_f0, times)).real.copy(order="F")
+        for model in (fme, obe)
     )
 
     dt_report = times[1] - times[0]

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import AtomGeometry, omega_dd
-from .floquet import SIGMA_X, SIGMA_Y, SIGMA_Z, DriveParams, dressed_states, site_op
-
-# X, iY = [[0, 1], [-1, 0]] and Z are real, and Y_i Y_j = -(iY)_i (iY)_j, so
-# the XYZ sum is built in real arithmetic.
-_REAL_PAULIS = (SIGMA_X.real, (1j * SIGMA_Y).real, SIGMA_Z.real)
+from .floquet import DriveParams, dressed_states
 
 
 @dataclass(frozen=True)
@@ -115,16 +111,29 @@ def build_spin_hamiltonian(
         raise ValueError("supported atom counts are 2..6")
     tensors = pair_tensors(pair_geometries, drive, evaluate_at)
 
+    # The sum is built in real arithmetic, with Y_i Y_j = -(iY)_i (iY)_j and
+    # iY = [[0, 1], [-1, 0]].  Every term is a Pauli string: it takes basis
+    # state b (atom 0 the most significant bit, as in site_op) to one state
+    # with a sign, so a pair adds to one entry per column and term.  With
+    # z = 1 - 2 * bit, the signs are 1 for X_i X_j, z_i z_j for
+    # (iY)_i (iY)_j and Z_i Z_j, z_j for X_i Z_j and z_i for Z_i X_j.  Each
+    # entry gets the same additions, in the same order, as from the dense
+    # products J_xx X_i X_j - J_yy (iY)_i (iY)_j + J_zz Z_i Z_j, then
+    # J_xz (X_i Z_j + Z_i X_j): their other terms are zeros, which leave the
+    # sum as it is.
     dim = 2**n_atoms
-    site_ops = [[site_op(p, site, n_atoms) for p in _REAL_PAULIS] for site in range(n_atoms)]
+    basis = np.arange(dim)
+    masks = 1 << (n_atoms - 1 - np.arange(n_atoms))
+    z = 1 - 2 * ((basis[:, None] & masks) > 0)
     h = np.zeros((dim, dim))
     for i in range(n_atoms):
         for j in range(i + 1, n_atoms):
             if (i, j) not in tensors:
                 raise ValueError(f"missing geometry for pair {(i, j)}")
             jt = tensors[(i, j)]
-            xi, iyi, zi = site_ops[i]
-            xj, iyj, zj = site_ops[j]
-            h += jt.j_xx * (xi @ xj) - jt.j_yy * (iyi @ iyj) + jt.j_zz * (zi @ zj)
-            h += jt.j_xz * (xi @ zj + zi @ xj)
+            zz = z[:, i] * z[:, j]
+            h[basis ^ masks[i] ^ masks[j], basis] += jt.j_xx - jt.j_yy * zz
+            h[basis, basis] += jt.j_zz * zz
+            h[basis ^ masks[i], basis] += jt.j_xz * z[:, j]
+            h[basis ^ masks[j], basis] += jt.j_xz * z[:, i]
     return h

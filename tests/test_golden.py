@@ -32,6 +32,8 @@ import numpy as np
 import pytest
 import scipy
 
+from floquetdd import cli
+from floquetdd import io as floquetdd_io
 from floquetdd.cli import main
 import golden_diff
 
@@ -261,6 +263,36 @@ def test_golden_diff_sizes_each_changed_column_and_value(tmp_path):
 
 def test_manifest_names_every_run():
     assert sorted(_manifest()["runs"]) == sorted([*RUNS, *USAGE])
+
+
+# A golden run of each column mix that io.emit_csv writes with its vectorized
+# writer, and one of numbers only that stays on the row-by-row path, so that
+# moving io._VECTOR_CELLS cannot take either writer out of the hashed outputs.
+# No subcommand writes a boolean column (taumap's diverged flag is an int).
+CSV_WRITERS = {
+    "rydberg-compare": ("vectorized", "f"),
+    "rydberg-evolve-fme": ("vectorized", "f"),
+    "spinmodel-positions-6": ("vectorized", "fi"),
+    "taumap_small-taumap": ("vectorized", "fi"),
+    "rydberg-coefficients": ("rows", "fi"),
+}
+
+
+def test_golden_runs_cover_both_csv_writers(tmp_path, monkeypatch):
+    writers = set()
+    emit = cli.emit_csv
+
+    def spy(table, path):
+        columns = [np.asarray(column) for column in table.data]
+        kinds = "".join(sorted({column.dtype.kind for column in columns}))
+        writers.add((name, "vectorized" if floquetdd_io._vectorized(columns) else "rows", kinds))
+        emit(table, path)
+
+    monkeypatch.setattr(cli, "emit_csv", spy)
+    for name in CSV_WRITERS:
+        (tmp_path / name).mkdir()
+        _record(name, tmp_path / name)
+    assert {(name, *writer) for name, writer in CSV_WRITERS.items()} <= writers
 
 
 @pytest.mark.parametrize("name", [*RUNS, *USAGE])

@@ -1,5 +1,8 @@
 import json
 import re
+import struct
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import constants
 
+from floquetdd import io
 from floquetdd.errors import ScenarioError
 from floquetdd.io import (
     ResultBundle,
@@ -301,11 +305,67 @@ class TestReaderProperty:
         _read_task_with(*where, value)
 
 
+# Rows of a one-column table on either side of io._VECTOR_CELLS: written one
+# '%' per row, or by the vectorized writer.
+CSV_ROWS = (1, io._VECTOR_CELLS)
+
+
+def _body_by_rows(columns):
+    """The body ``emit_csv`` writes below the cut-off: one '%' per row."""
+    line = ",".join(io._cell_format(column) for column in columns) + "\n"
+    return "".join(line % row for row in zip(*columns))
+
+
+def _body_vectorized(columns):
+    return "".join(io._numeric_text(columns))
+
+
+def _double(sign, exponent, fraction):
+    """The double of the given bit fields."""
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | exponent << 52 | fraction))[0]
+
+
+# Finite doubles: Hypothesis's own mix, and random bit patterns with every
+# exponent equally likely (random 64-bit integers are mostly subnormals).
+FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(_double, st.integers(0, 1), st.integers(0, 2046), st.integers(0, 2**52 - 1)),
+)
+
+
+def _edge_floats():
+    """Doubles at the edges of the vectorized digits: powers of ten and
+    their neighbours (decade boundaries, 3-digit exponents), every power of two
+    down to the subnormals, exact halves of the 17th digit, ±0.0, the
+    extremes of the double range, and the negatives of all of them."""
+    tens = 10.0 ** np.arange(-300, 301)
+    twos = np.ldexp(1.0, np.arange(-1074, 1024))
+    halves = 1.0 + np.ldexp(1.0, -np.arange(1, 53))
+    values = np.concatenate(
+        [
+            tens,
+            np.nextafter(tens, 0.0),
+            np.nextafter(tens, np.inf),
+            twos,
+            halves,
+            [0.0, 5e-324, 2.2250738585072014e-308, 1e-250, 1e250, 1.7976931348623157e308],
+            np.nextafter([1e-250, 1e250], [0.0, np.inf]),
+        ]
+    )
+    return np.concatenate([values, -values])
+
+
 class TestCsvEmission:
+    """The refusals, the line endings and the cell rules are checked on
+    tables on both sides of the cut-off (``CSV_ROWS``)."""
+
     def test_empty_table_is_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_csv(Table(columns=("a", "b"), data=((), ())), path)
-        assert path.read_text() == "a,b\n"
+        # a table without rows has no cells, whatever its column count
+        for n_columns in CSV_ROWS:
+            names = tuple(f"c{k}" for k in range(n_columns))
+            path = tmp_path / "empty.csv"
+            emit_csv(Table(columns=names, data=((),) * n_columns), path)
+            assert path.read_text() == ",".join(names) + "\n"
 
     def test_round_trip_is_string_exact(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -327,23 +387,30 @@ class TestCsvEmission:
 
     def test_cells_follow_the_column_rule(self, tmp_path):
         path = tmp_path / "c.csv"
-        floats = np.concatenate(
+        cells = np.concatenate(
             [
                 [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.0 / 3.0],
                 np.random.default_rng(7).standard_normal(64) * 10.0 ** np.arange(-32, 32),
             ]
         )
-        ints = np.arange(floats.size) - 30
-        flags = ints % 3 == 0
-        emit_csv(Table(columns=("x", "n", "b"), data=(floats, ints, flags)), path)
-        expected = [f"{x:.16e},{int(n)},{int(b)}" for x, n, b in zip(floats, ints, flags)]
-        assert path.read_text().splitlines()[1:] == expected
+        for rows, vectorized in zip(CSV_ROWS, (False, True)):
+            floats = np.resize(cells, max(rows, cells.size))
+            ints = np.arange(floats.size) - 30
+            flags = ints % 3 == 0
+            assert io._vectorized([floats, ints, flags]) == vectorized
+            emit_csv(Table(columns=("x", "n", "b"), data=(floats, ints, flags)), path)
+            expected = [f"{x:.16e},{int(n)},{int(b)}" for x, n, b in zip(floats, ints, flags)]
+            assert path.read_text().splitlines()[1:] == expected
 
     def test_non_finite_guard(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            emit_csv(Table(columns=("v",), data=((np.nan,),)), tmp_path / "x.csv")
-        with pytest.raises(RuntimeError):
-            emit_csv(Table(columns=("v",), data=((1.0, np.inf),)), tmp_path / "x.csv")
+        path = tmp_path / "x.csv"
+        for rows in CSV_ROWS:
+            for bad in (np.nan, np.inf, -np.inf):
+                values = np.ones(rows)
+                values[-1] = bad
+                with pytest.raises(RuntimeError, match="non-finite value reached CSV emission"):
+                    emit_csv(Table(columns=("v",), data=(values,)), path)
+                assert not path.exists()
 
     @pytest.mark.parametrize("cell", ["a,b", "a\nb"])
     def test_separator_in_string_refused(self, tmp_path, cell):
@@ -351,15 +418,78 @@ class TestCsvEmission:
             emit_csv(Table(columns=("s",), data=(("ok", cell),)), tmp_path / "x.csv")
 
     def test_unsupported_dtype_refused(self, tmp_path):
-        with pytest.raises(TypeError):
-            emit_csv(Table(columns=("z",), data=((1j,),)), tmp_path / "x.csv")
+        path = tmp_path / "x.csv"
+        for rows in CSV_ROWS:
+            with pytest.raises(TypeError, match="unsupported column dtype complex128"):
+                emit_csv(Table(columns=("v", "z"), data=(np.ones(rows), np.full(rows, 1j))), path)
+            assert not path.exists()
 
     def test_lf_endings(self, tmp_path):
         path = tmp_path / "lf.csv"
-        emit_csv(Table(columns=("v",), data=((1.0, 2.0),)), path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        assert raw.endswith(b"\n")
+        for rows in CSV_ROWS:
+            values = np.arange(1.0, rows + 2.0)
+            emit_csv(Table(columns=("v",), data=(values,)), path)
+            raw = path.read_bytes()
+            assert b"\r" not in raw
+            assert raw.endswith(b"\n")
+            assert raw.count(b"\n") == values.size + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                FINITE_DOUBLES,
+                st.integers(-(2**63), 2**63 - 1),
+                st.integers(0, 2**64 - 1),
+                st.booleans(),
+                st.floats(allow_nan=False, allow_infinity=False, width=32),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_vectorized_text_is_the_rows_text(self, cells):
+        floats, ints, unsigned, flags, singles = zip(*cells)
+        columns = [
+            np.array(floats),
+            np.array(ints, dtype=np.int64),
+            np.array(unsigned, dtype=np.uint64),
+            np.array(flags),
+            np.array(singles, dtype=np.float32),
+        ]
+        assert _body_vectorized(columns) == _body_by_rows(columns)
+
+    def test_vectorized_text_at_the_edges(self):
+        floats = _edge_floats()
+        extremes = [-(2**63), 2**63 - 1, 0, -1, 9999, 10_000, -10_000, 99_999_999, 100_000_000]
+        ints = np.resize(np.array(extremes, dtype=np.int64), floats.size)
+        columns = [floats, ints, np.resize(np.array([0, 2**64 - 1], dtype=np.uint64), floats.size)]
+        assert _body_vectorized(columns) == _body_by_rows(columns)
+
+    def test_power_table_is_exact(self):
+        # hi is 10**q rounded to a double, lo the rest of 10**q rounded
+        for q, hi, lo in zip(range(io._Q_MIN, io._Q_MIN + io._POW_HI.size), io._POW_HI, io._POW_LO):
+            exact = Fraction(10) ** q
+            assert hi == float(exact), q
+            assert lo == float(exact - Fraction(hi)), q
+
+    # tracemalloc peak of one emit_csv of 1e5 rows of 9 float columns (7.2 MB
+    # of doubles, 21 MB of text): 0.76 MB, the working memory of one block
+    # of rows.
+    PEAK_MB = 1.0
+
+    def test_vectorized_memory_does_not_grow_with_the_table(self, tmp_path):
+        rng = np.random.default_rng(11)
+        table = Table(columns=tuple("abcdefghi"), data=tuple(rng.standard_normal(100_000) for _ in range(9)))
+        out = tmp_path / "big.csv"
+        emit_csv(table, out)
+        tracemalloc.start()
+        try:
+            emit_csv(table, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 1e6 < self.PEAK_MB
 
     def test_column_length_guard(self):
         with pytest.raises(ValueError, match="length"):
@@ -412,6 +542,86 @@ class TestJsonEmission:
         with pytest.raises(RuntimeError, match="non-finite value reached JSON emission"):
             emit_json(bundle, path)
         assert not path.exists()
+
+    # doubles json must print in full: signed zeros, subnormals, the extremes
+    # and values that repeat (a Hamiltonian's couplings and zeros)
+    EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                   1e16, 1e-5, 0.1, -1.5e5, 123456.789, 1.0, -1.0]
+    LONG_FLOATS = st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)),
+        min_size=io._FLOAT_LIST,
+        max_size=3 * io._FLOAT_LIST,
+    )
+
+    @staticmethod
+    def reference(data) -> str:
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        real=LONG_FLOATS,
+        short=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=io._FLOAT_LIST - 1),
+        mixed=st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=io._FLOAT_LIST, max_size=2 * io._FLOAT_LIST),
+        depth=st.integers(0, 3),
+    )
+    def test_long_float_lists_match_json(self, real, short, mixed, depth):
+        # every list at any depth, in dicts and in lists, long or short, pure
+        # float or not, comes out as json.dumps writes it
+        matrix = {"rows": 1, "cols": len(real), "real": real, "imag": [0.0] * len(real)}
+        for _ in range(depth):
+            matrix = {"inner": matrix, "z_last": 1.5}
+        data = {
+            "outputs": {
+                "hamiltonian": matrix,
+                "short": short,
+                "mixed": mixed,
+                "in_a_list": [real, {"real": real}],
+                "tuple": tuple(real),
+                "ints": list(range(2 * io._FLOAT_LIST)),
+            },
+            "inputs": {"task": {"name": "demo"}},
+        }
+        assert io._dumps(data) == self.reference(data)
+        assert io._dumps(real) == self.reference(real)
+
+    def test_placeholder_lookalike_strings(self):
+        # a string that json encodes as a placeholder's text leaves the data to json alone
+        real = [float(k) for k in range(io._FLOAT_LIST)]
+        for text in ("\x000\x00", "\x001\x00"):
+            data = {"a": {"real": real}, "b": {"real": real}, "label": text, text: 1}
+            assert io._dumps(data) == self.reference(data)
+
+    def test_long_list_non_finite_refused_before_writing(self, tmp_path):
+        real = [0.5] * (2 * io._FLOAT_LIST)
+        real[-1] = float("nan")
+        bundle = ResultBundle(task="demo", inputs={}, outputs={"m": {"real": real}}, version="0")
+        path = tmp_path / "bad.json"
+        with pytest.raises(RuntimeError, match="non-finite value reached JSON emission"):
+            emit_json(bundle, path)
+        assert not path.exists()
+
+    def test_cycle_refused_as_by_json(self):
+        data = {"real": [1.0] * io._FLOAT_LIST}
+        data["self"] = data
+        with pytest.raises(ValueError, match="Circular reference"):
+            io._dumps(data)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.arange(12.0).reshape(3, 4) * np.pi - 5.0 + 1j * np.arange(12.0).reshape(3, 4) * -0.0,
+            np.arange(6).reshape(2, 3) - 3,
+            (np.arange(6, dtype=np.float32).reshape(3, 2) / 3).astype(np.float32),
+        ],
+        ids=["complex", "int", "float32"],
+    )
+    def test_matrix_to_json_entries_are_each_float(self, matrix):
+        encoded = matrix_to_json(matrix)
+        for key, part in (("real", np.real(matrix)), ("imag", np.imag(matrix))):
+            expected = [float(v) for v in part.ravel()]
+            assert all(type(v) is float for v in encoded[key])
+            assert [v.hex() for v in encoded[key]] == [v.hex() for v in expected]
 
     def test_schema_version_present(self, tmp_path):
         bundle = ResultBundle(task="demo", inputs={}, outputs={}, version="0.1.0")

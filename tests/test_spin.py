@@ -56,6 +56,29 @@ class TestJTensorClosedForms:
             JTensor(j_xx=np.nan, j_yy=0.0, j_zz=0.0, j_xz=0.0)
 
 
+class TestBuilderBitIdentity:
+    @pytest.mark.parametrize("n_atoms", [2, 3, 4, 5, 6])
+    def test_equals_pauli_string_products(self, n_atoms):
+        # the entry-by-entry sums give the same doubles as the dense products
+        # of the real site operators X, iY and Z, whatever the couplings' signs
+        from floquetdd.floquet import site_op
+        from floquetdd.spin import pair_tensors
+
+        real_paulis = (SIGMA_X.real, (1j * SIGMA_Y).real, SIGMA_Z.real)
+        rng = np.random.default_rng(n_atoms)
+        positions = rng.normal(scale=10e-6, size=(n_atoms, 3))
+        geoms = pair_geometries_from_positions(positions, 1000 * E_A0, [0.0, 0.0, 1.0])
+        drive = DriveParams(omega=1e10, rabi=2e9, omega_eg=0.7e10)
+        h = build_spin_hamiltonian(n_atoms, geoms, drive, evaluate_at="atom")
+        ops = [[site_op(p, site, n_atoms) for p in real_paulis] for site in range(n_atoms)]
+        expected = np.zeros((2**n_atoms, 2**n_atoms))
+        for (i, j), jt in pair_tensors(geoms, drive, "atom").items():
+            (xi, iyi, zi), (xj, iyj, zj) = ops[i], ops[j]
+            expected += jt.j_xx * (xi @ xj) - jt.j_yy * (iyi @ iyj) + jt.j_zz * (zi @ zj)
+            expected += jt.j_xz * (xi @ zj + zi @ xj)
+        assert h.tobytes() == expected.tobytes()
+
+
 class TestDualPathAgreement:
     def test_101_point_grid(self):
         # Oracle: explicit dressed-to-bare expansion fed with the
