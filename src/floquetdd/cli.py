@@ -75,8 +75,6 @@ class _Run:
 def _run_floquet(scenario: Scenario) -> _Run:
     sol = _solve(scenario)
     mus = np.array([sol.mu_plus, sol.mu_minus])
-    weights_p = sol.sideband_weights(0)
-    weights_m = sol.sideband_weights(1)
     tables = {
         "quasienergies.csv": Table(
             columns=("branch", "quasienergy_rad_per_s", "quasienergy_over_omega"),
@@ -84,16 +82,14 @@ def _run_floquet(scenario: Scenario) -> _Run:
         ),
         "sidebands.csv": Table(
             columns=("n", "weight_plus", "weight_minus"),
-            data=(np.arange(-sol.truncation, sol.truncation + 1), weights_p, weights_m),
+            data=(
+                np.arange(-sol.truncation, sol.truncation + 1),
+                sol.sideband_weights(0),
+                sol.sideband_weights(1),
+            ),
         ),
     }
-    outputs = {
-        "mu_plus": sol.mu_plus,
-        "mu_minus": sol.mu_minus,
-        "truncation": sol.truncation,
-        "sideband_weights_plus": [float(w) for w in weights_p],
-        "sideband_weights_minus": [float(w) for w in weights_m],
-    }
+    outputs = {"mu_plus": sol.mu_plus, "mu_minus": sol.mu_minus, "truncation": sol.truncation}
     summary = f"quasienergies: mu_plus={sol.mu_plus:.9e}  mu_minus={sol.mu_minus:.9e}"
     return _Run(tables, "floquet.json", outputs, summary)
 
@@ -104,13 +100,7 @@ def _run_coefficients(scenario: Scenario) -> _Run:
         columns=("m", "c_pp_contribution", "c_pm_contribution"),
         data=(coeff.m_values, coeff.breakdown_pp, coeff.breakdown_pm),
     )
-    outputs = {
-        "c_pp": coeff.c_pp,
-        "c_pm": coeff.c_pm,
-        "m_values": [int(m) for m in coeff.m_values],
-        "breakdown_pp": [float(v) for v in coeff.breakdown_pp],
-        "breakdown_pm": [float(v) for v in coeff.breakdown_pm],
-    }
+    outputs = {"c_pp": coeff.c_pp, "c_pm": coeff.c_pm}
     summary = f"coefficients: c_pp={coeff.c_pp:.9e}  c_pm={coeff.c_pm:.9e}"
     return _Run({"coefficients.csv": table}, "coefficients.json", outputs, summary)
 
@@ -197,7 +187,7 @@ def _run_evolve(scenario: Scenario) -> _Run:
     basis = _BASES[model_name]
     table = Table(
         columns=("time_s",) + tuple(f"pop_{b}" for b in basis) + ("trace",),
-        data=(times, *pops, np.trace(traj, axis1=1, axis2=2).real),
+        data=(times, *pops, np.trace(traj, axis1=1, axis2=2).real.copy()),
     )
     outputs = {
         "model": model_name,
@@ -256,7 +246,6 @@ def _run_spinmodel(scenario: Scenario) -> _Run:
     outputs = {
         "theta_m": dressed_states(scenario.drive).theta_m,
         "j_tensors": [{"pair": list(pair), **asdict(jt)} for pair, jt in tensors.items()],
-        "hamiltonian": matrix_to_json(ham),
     }
     summary = "\n".join(
         f"J tensor of pair {i}-{j} (rad/s): "
@@ -320,7 +309,6 @@ def _run_compare(scenario: Scenario) -> _Run:
         n_samples=scenario.n_samples,
     )
     basis = _BASES["fme"]
-    interior = comparison.interior
     tables = {
         "compare_raw.csv": Table(
             columns=("time_s",)
@@ -329,14 +317,8 @@ def _run_compare(scenario: Scenario) -> _Run:
             data=(comparison.times, *comparison.pop_fme.T, *comparison.pop_obe.T),
         ),
         "compare_populations.csv": Table(
-            columns=("time_s",)
-            + tuple(f"fme_{b}" for b in basis)
-            + tuple(f"obe_smoothed_{b}" for b in basis),
-            data=(
-                comparison.times[interior],
-                *comparison.pop_fme[interior].T,
-                *comparison.pop_obe_smoothed.T,
-            ),
+            columns=("time_s",) + tuple(f"obe_smoothed_{b}" for b in basis),
+            data=(comparison.times[comparison.interior], *comparison.pop_obe_smoothed.T),
         ),
     }
     outputs = {

@@ -13,13 +13,17 @@ per row.  A larger one of float, integer and boolean columns is written
 by a vectorized writer, in blocks of rows: it computes the 17 digits of
 each float exactly (in double-double arithmetic) and leaves each cell it
 cannot prove to ``'%.16e'`` itself, so both writers give the same bytes
-for the same table.  JSON bundles carry a
-schema-version field and serialize matrices row-major with explicit
-dimensions; they are the text of ``json.dumps(indent=2, sort_keys=True)``,
-with each long list of finite floats (a matrix's entries) rendered in one
-join of the same ``float.__repr__`` texts.  Identical inputs produce
-byte-identical files; wall-clock timing therefore never enters a bundle
-and is reported on stderr by the command line layer instead.
+for the same table.
+
+JSON bundles carry a schema-version field and serialize matrices
+row-major with explicit dimensions; they are the text of
+``json.dumps(indent=2, sort_keys=True)``.  A bundle holds scalars and
+small matrices (the largest has 16 entries): each table of a run, such as
+the sideband weights, the coefficient breakdowns, the spin Hamiltonian or
+the populations, is written once, to its CSV file, and no bundle repeats
+it.  Identical inputs produce byte-identical files; wall-clock timing
+therefore never enters a bundle and is reported on stderr by the command
+line layer instead.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -330,75 +334,9 @@ class ResultBundle:
         }
 
 
-# Lists of at least this many finite floats are rendered by _float_list and
-# not by the json module, whose indenting encoder is pure Python: the 64x64
-# spin Hamiltonian's 8,192 entries took it 5.2 ms, _float_list 1.5 ms.  On
-# distinct floats the two cost the same at about 90 (65: 77 against 80 us;
-# 128: 145 against 135 us; medians on 2 cores).
-_FLOAT_LIST = 128
-
-
-def _float_list(values: np.ndarray, level: int) -> str:
-    """The text ``json.dumps(..., indent=2)`` gives a list of the finite
-    doubles ``values`` nested ``level`` containers deep: the json module's
-    own ``float.__repr__`` of each, computed once per distinct bit pattern
-    (a Hamiltonian repeats a few couplings and zeros thousands of times)."""
-    unique, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([float.__repr__(v) for v in unique.view(np.float64).tolist()], dtype=object)
-    inner = "\n" + "  " * (level + 1)
-    return "[" + inner + ("," + inner).join(texts[inverse].tolist()) + "\n" + "  " * level + "]"
-
-
-def _dumps(data) -> str:
-    """``json.dumps(data, indent=2, sort_keys=True, allow_nan=False)``, with
-    each long list of finite floats that is reached through dicts alone (as
-    every :func:`matrix_to_json` list is) rendered by :func:`_float_list`.
-
-    Each such list is swapped for a placeholder string that json encodes
-    as ``"\\u0000<k>\\u0000"``; if any placeholder's text is not found
-    exactly once (a string of the data could read the same), the data is
-    encoded by json alone.  A dict met again on its own path is left to
-    json, which refuses the cycle.
-    """
-    lists = []
-    path = set()
-
-    def lift(mapping: dict, level: int) -> dict:
-        """A copy of ``mapping`` with its long float lists swapped out."""
-        path.add(id(mapping))
-        out = {}
-        for key, item in mapping.items():
-            if isinstance(item, dict):
-                if id(item) not in path:
-                    item = lift(item, level + 1)
-            elif (
-                isinstance(item, list)
-                and len(item) >= _FLOAT_LIST
-                and set(map(type, item)) == {float}
-            ):
-                values = np.array(item)
-                if np.isfinite(values).all():
-                    lists.append(_float_list(values, level + 1))
-                    item = f"\0{len(lists) - 1}\0"
-            out[key] = item
-        path.discard(id(mapping))
-        return out
-
-    lifted = lift(data, 0) if isinstance(data, dict) else data
-    if not lists:
-        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-    text = json.dumps(lifted, indent=2, sort_keys=True, allow_nan=False)
-    placeholders = [f'"\\u0000{k}\\u0000"' for k in range(len(lists))]
-    if any(text.count(placeholder) != 1 for placeholder in placeholders):
-        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-    for placeholder, rendered in zip(placeholders, lists):
-        text = text.replace(placeholder, rendered)
-    return text
-
-
 def emit_json(bundle: ResultBundle, path) -> None:
     try:
-        text = _dumps(bundle.to_dict())
+        text = json.dumps(bundle.to_dict(), indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise RuntimeError("internal error: non-finite value reached JSON emission") from None
     with open(path, "w", newline="\n") as fh:

@@ -146,6 +146,12 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     above -1e-9 (up to round-off).  Every check works through the stack in
     chunks of ``_VALIDATION_CHUNK`` states, so no temporary grows with it.
     """
+    return _check_states(rho, hermitian=False)
+
+
+def _check_states(rho, hermitian: bool) -> np.ndarray:
+    """The checks of :func:`validate_density_matrix`, in its order; a stack
+    known to be exactly Hermitian (``hermitian``) skips that check."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError("density matrix must be square")
@@ -173,11 +179,11 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
     for fails, message in (
         (lambda chunk: not np.all(np.isfinite(chunk)), "has non-finite entries"),
-        (non_hermitian, "is not Hermitian"),
+        (None if hermitian else non_hermitian, "is not Hermitian"),
         (off_trace, "trace differs from one"),
         (negative, "has a significantly negative eigenvalue"),
     ):
-        if any(fails(chunk) for chunk in chunks):
+        if fails is not None and any(fails(chunk) for chunk in chunks):
             raise ValueError(f"density matrix {message}")
     return rho
 
@@ -218,10 +224,12 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
     With B = isqrt(n - 1) + 1, the powers P^0 ... P^(B-1) and the block
     starts (P^B)^j rho0 are each built by a short loop, and every state is
     one batched product of the two.  The stack is Hermitized,
-    rho -> (rho + rho^+)/2, and every state is checked for Hermiticity,
-    unit trace and near-positivity.  An invalid ``rho0`` is a
-    ``ValueError``; failing returned states are a :class:`PhysicsError`, as
-    their round-off grows with ||L|| t_final, not with the step size.
+    rho -> (rho + rho^+)/2, which makes it exactly Hermitian (entries ij and
+    ji are sums of the same two terms, conjugated), and every state is
+    checked for finite entries, unit trace and near-positivity.  An invalid
+    ``rho0`` is a ``ValueError``; failing returned states are a
+    :class:`PhysicsError`, as their round-off grows with ||L|| t_final, not
+    with the step size.
     """
     from scipy.linalg import expm
 
@@ -257,7 +265,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
         chunk += np.swapaxes(chunk, 1, 2).conj()
         chunk *= 0.5
     try:
-        return validate_density_matrix(states)
+        return _check_states(states, hermitian=True)
     except ValueError as err:
         scale = np.linalg.norm(liou, 2) * times[-1]
         raise PhysicsError(

@@ -406,6 +406,21 @@ class TestPipelineCommands:
         total = sum(row[1] for row in table.rows)
         assert total == pytest.approx(c_pp, rel=1e-12)
 
+    # Each number is written once: the sideband weights, the coefficient
+    # breakdowns and the spin Hamiltonian are in the CSV files alone.
+    @pytest.mark.parametrize(
+        "subcommand, keys",
+        [
+            ("floquet", {"mu_plus", "mu_minus", "truncation"}),
+            ("coefficients", {"c_pp", "c_pm"}),
+            ("spinmodel", {"theta_m", "j_tensors"}),
+        ],
+    )
+    def test_bundle_holds_no_table(self, tmp_path, subcommand, keys):
+        out = tmp_path / "out"
+        assert run(subcommand, write_scenario(tmp_path), out) == 0
+        assert set(json.loads((out / f"{subcommand}.json").read_text())["outputs"]) == keys
+
     def test_channels(self, tmp_path):
         scenario = write_scenario(tmp_path)
         out = tmp_path / "out"
@@ -552,6 +567,8 @@ class TestPipelineCommands:
         smoothed = read_csv(out / "compare_populations.csv")
         raw = read_csv(out / "compare_raw.csv")
         assert len(smoothed.rows) < len(raw.rows)
+        # the Floquet-Markov populations are written once, to compare_raw.csv
+        assert smoothed.columns == ("time_s", *(f"obe_smoothed_{b}" for b in ("pp", "pm", "mp", "mm")))
 
     # tracemalloc peak of one in-process compare of the Rydberg pair at 1e5
     # report times: 0.329 kB per report time, one 4x4 stack (0.256 kB) while

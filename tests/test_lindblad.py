@@ -228,6 +228,15 @@ class TestEvolve:
         assert traj.shape == (n, 4, 4)
         assert np.max(np.abs(traj - stepwise_evolve(model, rho0, times))) < self.STEPWISE_BOUND
 
+    # evolve does not re-check Hermiticity: its Hermitized stack is exact, so
+    # that check could not fail.  7642 times span several Hermitizing chunks.
+    @pytest.mark.parametrize("n", [2, 7642])
+    @pytest.mark.parametrize("name", ["random", "fme", "obe"])
+    def test_returned_stack_is_exactly_hermitian(self, evolve_cases, name, n):
+        model, rho0, t_final = evolve_cases[name]
+        states = evolve(model, rho0, np.linspace(0.0, t_final, n))
+        assert np.array_equal(states, states.conj().swapaxes(-1, -2))
+
     # README: on the Rydberg Bloch pair (||L|| = 2e8 /s) t_final = 0.1 s
     # loses the trace whatever n_times is, and 0.03 s passes.
     @pytest.mark.parametrize("n", [2, 2001])

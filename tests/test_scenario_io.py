@@ -543,70 +543,6 @@ class TestJsonEmission:
             emit_json(bundle, path)
         assert not path.exists()
 
-    # doubles json must print in full: signed zeros, subnormals, the extremes
-    # and values that repeat (a Hamiltonian's couplings and zeros)
-    EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
-                   1e16, 1e-5, 0.1, -1.5e5, 123456.789, 1.0, -1.0]
-    LONG_FLOATS = st.lists(
-        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)),
-        min_size=io._FLOAT_LIST,
-        max_size=3 * io._FLOAT_LIST,
-    )
-
-    @staticmethod
-    def reference(data) -> str:
-        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        real=LONG_FLOATS,
-        short=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=io._FLOAT_LIST - 1),
-        mixed=st.lists(st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
-                       min_size=io._FLOAT_LIST, max_size=2 * io._FLOAT_LIST),
-        depth=st.integers(0, 3),
-    )
-    def test_long_float_lists_match_json(self, real, short, mixed, depth):
-        # every list at any depth, in dicts and in lists, long or short, pure
-        # float or not, comes out as json.dumps writes it
-        matrix = {"rows": 1, "cols": len(real), "real": real, "imag": [0.0] * len(real)}
-        for _ in range(depth):
-            matrix = {"inner": matrix, "z_last": 1.5}
-        data = {
-            "outputs": {
-                "hamiltonian": matrix,
-                "short": short,
-                "mixed": mixed,
-                "in_a_list": [real, {"real": real}],
-                "tuple": tuple(real),
-                "ints": list(range(2 * io._FLOAT_LIST)),
-            },
-            "inputs": {"task": {"name": "demo"}},
-        }
-        assert io._dumps(data) == self.reference(data)
-        assert io._dumps(real) == self.reference(real)
-
-    def test_placeholder_lookalike_strings(self):
-        # a string that json encodes as a placeholder's text leaves the data to json alone
-        real = [float(k) for k in range(io._FLOAT_LIST)]
-        for text in ("\x000\x00", "\x001\x00"):
-            data = {"a": {"real": real}, "b": {"real": real}, "label": text, text: 1}
-            assert io._dumps(data) == self.reference(data)
-
-    def test_long_list_non_finite_refused_before_writing(self, tmp_path):
-        real = [0.5] * (2 * io._FLOAT_LIST)
-        real[-1] = float("nan")
-        bundle = ResultBundle(task="demo", inputs={}, outputs={"m": {"real": real}}, version="0")
-        path = tmp_path / "bad.json"
-        with pytest.raises(RuntimeError, match="non-finite value reached JSON emission"):
-            emit_json(bundle, path)
-        assert not path.exists()
-
-    def test_cycle_refused_as_by_json(self):
-        data = {"real": [1.0] * io._FLOAT_LIST}
-        data["self"] = data
-        with pytest.raises(ValueError, match="Circular reference"):
-            io._dumps(data)
-
     @pytest.mark.parametrize(
         "matrix",
         [
@@ -627,9 +563,9 @@ class TestJsonEmission:
         bundle = ResultBundle(task="demo", inputs={}, outputs={}, version="0.1.0")
         path = tmp_path / "s.json"
         emit_json(bundle, path)
-        assert json.loads(path.read_text())["schema_version"] == "1"
+        assert json.loads(path.read_text())["schema_version"] == "2"
 
-    @pytest.mark.parametrize("found", ["2", 1, None], ids=["newer", "number", "missing"])
+    @pytest.mark.parametrize("found", ["1", "3", 2, None], ids=["older", "newer", "number", "missing"])
     def test_other_schema_version_refused(self, tmp_path, found):
         data = ResultBundle(task="demo", inputs={}, outputs={}, version="0.1.0").to_dict()
         if found is None:
@@ -638,5 +574,5 @@ class TestJsonEmission:
             data["schema_version"] = found
         path = tmp_path / "s.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match=f"schema version {found!r} is not '1'"):
+        with pytest.raises(ValueError, match=f"schema version {found!r} is not '2'"):
             read_json(path)
