@@ -334,11 +334,18 @@ class ResultBundle:
         }
 
 
+# The start of the ValueError json.dumps(..., allow_nan=False) raises on a NaN
+# or an infinity; its other ValueErrors (a reference cycle) name their own cause.
+_JSON_NON_FINITE = "Out of range float values are not JSON compliant"
+
+
 def emit_json(bundle: ResultBundle, path) -> None:
     try:
         text = json.dumps(bundle.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        raise RuntimeError("internal error: non-finite value reached JSON emission") from None
+    except ValueError as err:
+        if str(err).startswith(_JSON_NON_FINITE):
+            raise RuntimeError("internal error: non-finite value reached JSON emission") from None
+        raise RuntimeError(f"internal error: bundle cannot be written as JSON: {err}") from None
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 

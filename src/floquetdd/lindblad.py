@@ -214,13 +214,180 @@ def build_liouvillian(model: LindbladModel) -> np.ndarray:
     return out
 
 
+# Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009), Table 3.1 and
+# Algorithm 5.1, with the constants scipy.linalg.expm uses.  For each Pade
+# order m: the largest theta_m with r_m(A) = exp(A) to double precision
+# whenever ||A||_1 <= theta_m, and 1 / |c_(2m+1)|, the leading coefficient of
+# r_m's backward-error series; then the numerator coefficients b_0 ... b_m.
+_PADE_ORDERS = (
+    (3, 1.495585217958292e-2, 100800.0),
+    (5, 2.539398330063230e-1, 10059033600.0),
+    (7, 9.504178996162932e-1, 4487938430976000.0),
+    (9, 2.097847961257068, 5914384781877411840000.0),
+    (13, 4.25, 113250775606021113483283660800000000.0),
+)
+_PADE_B = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (
+        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+    ),
+    13: (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+    ),
+}  # fmt: skip
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _pade_ell(abs_a: np.ndarray, norm: float, m: int, error: float) -> int:
+    """Extra squarings that keep r_m's backward error at unit round-off: ell
+    of Al-Mohy & Higham's (5.1), from alpha = |c_(2m+1)| |||A|^(2m+1)||_1 /
+    ||A||_1.  alpha <= |c_(2m+1)| ||A||_1^(2m), so only where that bound
+    exceeds the unit round-off is the exact 1-norm needed: the largest column
+    sum of the power of |A| / ||A||_1, by repeated squaring, which cannot
+    overflow."""
+    log2_bound = 2 * m * math.log2(norm) - math.log2(error)
+    if log2_bound <= math.log2(_UNIT_ROUNDOFF):
+        return 0
+    square = abs_a / norm
+    v = square.sum(axis=0)
+    power = 2 * m
+    while power:
+        if power & 1:
+            v = v @ square
+        power >>= 1
+        if power:
+            square = square @ square
+    largest = float(v.max())
+    if largest == 0.0:
+        return 0
+    log2_alpha = log2_bound + math.log2(largest)
+    return max(math.ceil((log2_alpha - math.log2(_UNIT_ROUNDOFF)) / (2 * m)), 0)
+
+
+def _pade(m: int, a: np.ndarray, a2: np.ndarray, a4: np.ndarray, a6: np.ndarray, a8):
+    """r_m(a) = (V - U)^-1 (V + U) = 1 + (V - U)^-1 2U, with U odd and V even
+    in a, each summed in scipy's order, from the highest power down (given
+    scipy's solve, the result is scipy's bit for bit).  The unit matrix is
+    added last, so a near-unit r_m keeps the digits of its small part.  V - U
+    is well conditioned at every order's theta_m; it is inverted, and the
+    inverse applied to 2U.  The equivalent forms, a solve for 2U or for
+    V + U, give the same accuracy, but each moves the precision limit of the
+    Rydberg Bloch pair (see CHANGES.md): at the last bits, where scipy's
+    solve and numpy's differ, which form holds a given run is a matter of
+    round-off."""
+    b = _PADE_B[m]
+    ident = np.eye(len(a))
+    if m == 3:
+        u = a @ (b[3] * a2) + b[1] * a
+        v = b[2] * a2 + b[0] * ident
+    elif m == 13:
+        u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        u = a @ (u + (b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident))
+        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        v = v + (b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    else:
+        powers = (ident, a2, a4, a6, a8)[: (m + 1) // 2]
+        odd, even = b[m] * powers[-1], b[m - 1] * powers[-1]
+        for k in range(len(powers) - 2, -1, -1):
+            odd += b[2 * k + 1] * powers[k]
+            even += b[2 * k] * powers[k]
+        u = a @ odd
+        v = even
+    return np.linalg.inv(v - u) @ (2.0 * u) + ident
+
+
+def _triangular_squarings(x: np.ndarray, a: np.ndarray, s: int, lower: bool) -> np.ndarray:
+    """The s squarings of x = r_13(2^-s a) for a lower or upper triangular a,
+    by Code Fragment 2.1 of Al-Mohy & Higham as scipy writes it: before the
+    squarings the diagonal, and after each one the diagonal and the first
+    off diagonal, are set to those of exp(2^-i a), the exponentials of the
+    diagonal and their divided differences times the off-diagonal entries."""
+    diagonal = np.diagonal(a)
+    off = np.diagonal(a, -1 if lower else 1)
+    np.einsum("ii->i", x)[:] = np.exp(diagonal * 2.0**-s)
+    for i in range(s - 1, -1, -1):
+        x = x @ x
+        scaled = diagonal * 2.0**-i
+        exp = np.exp(scaled)
+        gap = np.diff(scaled)
+        divided = np.diff(exp)
+        equal = gap == 0.0
+        divided[~equal] /= gap[~equal]
+        divided[equal] = exp[:-1][equal]
+        np.einsum("ii->i", x)[:] = exp
+        np.einsum("ii->i", x[1:, :-1] if lower else x[:-1, 1:])[:] = divided * (off * 2.0**-i)
+    return np.tril(x) if lower else np.triu(x)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a real or complex square matrix, numpy only.
+
+    Al-Mohy & Higham's scaling and squaring, Algorithm 5.1 of SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009), as scipy.linalg.expm implements it: the Pade
+    order m in {3, 5, 7, 9, 13} and the squarings s come from exact 1-norms
+    of A^4, A^6, A^8 and A^10, plus ell extra squarings against overscaling;
+    then r_m(2^-s a) and s squarings, by Code Fragment 2.1 for a triangular
+    a.  The exact norms take a few small matmuls up to 256 x 256 (a pair's
+    Liouvillian is 16 x 16); past about 400 x 400 scipy estimates them
+    instead.  scipy's shortcut for a diagonal a is left out.  A matrix with a
+    power that is not finite gives NaN everywhere.
+    """
+    n = a.shape[0]
+    # A, A^2, A^4, A^6, A^8 and their 1-norms, all at once: at n = 16 a matmul
+    # costs less than numpy's overhead for a norm of its own.  A power that
+    # overflows is handled below, so it raises no warning.
+    powers = np.empty((5, n, n), dtype=a.dtype)
+    powers[0] = a
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(a, a, out=powers[1])
+        np.matmul(powers[1], powers[1], out=powers[2])
+        np.matmul(powers[1:3], powers[2], out=powers[3:])
+        abs_powers = np.abs(powers)
+    norm, _, norm4, norm6, norm8 = abs_powers.sum(axis=1).max(axis=1).tolist()
+    if not math.isfinite(norm + norm4 + norm6 + norm8):
+        return np.full(a.shape, np.nan, dtype=a.dtype)
+    if norm == 0.0:
+        return np.eye(n, dtype=a.dtype)
+    abs_a = abs_powers[0]
+    d4, d6, d8 = norm4**0.25, norm6 ** (1 / 6), norm8**0.125
+    for m, theta, error in _PADE_ORDERS[:4]:
+        eta = max(d4, d6) if m < 7 else max(d6, d8)
+        if eta < theta and _pade_ell(abs_a, norm, m, error) == 0:
+            return _pade(m, *powers)
+
+    m, theta, error = _PADE_ORDERS[4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d10 = float(np.abs(powers[2] @ powers[3]).sum(axis=0).max()) ** 0.1
+    eta = min(max(d6, d8), max(d8, d10))
+    if not math.isfinite(eta):
+        return np.full(a.shape, np.nan, dtype=a.dtype)
+    s = max(math.ceil(math.log2(eta / theta)), 0) if eta > 0.0 else 0
+    s += _pade_ell(abs_a * 2.0**-s, norm * 2.0**-s, m, error)
+    # 2^-s a and its powers: a scaling by a power of two is exact
+    a2, a4, a6 = (powers[k] * 2.0 ** (-2 * k * s) for k in (1, 2, 3))
+    x = _pade(13, a * 2.0**-s, a2, a4, a6, None)
+    lower, upper = not np.triu(a, 1).any(), not np.tril(a, -1).any()
+    if s and (lower or upper):
+        return _triangular_squarings(x, a, s, lower)
+    for _ in range(s):
+        x = x @ x
+    return x
+
+
 def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
     """Exact states of the master equation on the uniform grid ``times``.
 
     ``times`` must equal ``np.linspace(0, t_final, n)`` bit for bit, with
     t_final > 0 and n >= 2; any other grid is a ``ValueError``.  The
     generator is time independent, so the state at report k is P^k rho0
-    with P = expm(L dt), dt = ``times[1]``: the one exponential of the call.
+    with P = expm(L dt), dt = ``times[1]``: the one exponential of the call,
+    by :func:`_expm`, Al-Mohy & Higham's scaling and squaring (SIAM J. Matrix
+    Anal. Appl. 31, 970 (2009)).
     With B = isqrt(n - 1) + 1, the powers P^0 ... P^(B-1) and the block
     starts (P^B)^j rho0 are each built by a short loop, and every state is
     one batched product of the two.  The stack is Hermitized,
@@ -231,8 +398,6 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
     :class:`PhysicsError`, as their round-off grows with ||L|| t_final, not
     with the step size.
     """
-    from scipy.linalg import expm
-
     rho = validate_density_matrix(rho0)
     times = np.asarray(times, dtype=float)
     uniform = (
@@ -245,7 +410,7 @@ def evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:
         raise ValueError("times must be np.linspace(0, t_final, n) with t_final > 0 and n >= 2")
 
     liou = build_liouvillian(model)
-    step = expm(liou * times[1])
+    step = _expm(liou * times[1])
     n, d = times.size, model.dimension
     block = math.isqrt(n - 1) + 1
     powers = np.empty((block, d * d, d * d), dtype=complex)

@@ -18,6 +18,8 @@ None of these is used by the package itself:
   the chunked step build there
 * the master equation stepped report by report, the oracle of the block
   powers in :func:`floquetdd.lindblad.evolve`
+* the matrix exponential at 40 digits (mpmath), the oracle of the
+  in-package scaling and squaring ``floquetdd.lindblad._expm``
 * the density-matrix checks with ``np.linalg.eigvalsh`` on the whole
   stack, the oracle of the chunked Cholesky checks in
   :func:`floquetdd.lindblad.validate_density_matrix`, and the Bloch
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 
@@ -442,6 +445,13 @@ def stepwise_evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray
         rho = 0.5 * (rho + rho.conj().T)
         out[k] = rho
     return out
+
+
+def mp_expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by mpmath's Taylor scaling and squaring at 40 digits, rounded
+    to complex doubles."""
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
 
 
 def eigvalsh_validate(rho: np.ndarray) -> np.ndarray:

@@ -30,6 +30,7 @@ from floquetdd.bath import (
     gamma_thermal_single,
     omega_dd,
 )
+from test_cli import fresh_cli_runs
 
 E_A0 = constants.e * constants.physical_constants["Bohr radius"][0]
 RYDBERG = AtomGeometry(separation=40e-6, dipole_mag=1000 * E_A0, theta_d=np.pi / 2)
@@ -263,7 +264,7 @@ class TestConstants:
             constants.e,
         )
 
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
         src = str(Path(floquetdd.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = "import sys, floquetdd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -271,3 +272,5 @@ class TestConstants:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+        # nor do the runs that evolve: the step exponential is numpy's own
+        assert fresh_cli_runs(tmp_path / "runs") == "[]"

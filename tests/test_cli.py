@@ -351,6 +351,54 @@ def _error_lines(stderr):
     return [line for line in stderr.splitlines() if line.startswith("error:")]
 
 
+# One fresh interpreter runs evolve (fme and obe) and compare on the canonical
+# Rydberg pair through cli.main, each into DIR/<run>/, then prints the scipy
+# modules loaded: python -c FRESH_CLI_RUNS DIR SCENARIO
+FRESH_CLI_RUNS = """
+import json, sys
+from pathlib import Path
+from floquetdd import cli
+root, base = Path(sys.argv[1]), json.loads(Path(sys.argv[2]).read_text())
+for name, subcommand, task in (
+    ("evolve-fme", "evolve", {"model": "fme", "t_final": 1e-4, "n_times": 51, "initial_state": "pm"}),
+    ("evolve-obe", "evolve", {"model": "obe", "t_final": 1e-4, "n_times": 51, "initial_state": "eg"}),
+    ("compare", "compare", {"horizon": 5e-6}),
+):
+    scenario = root / (name + ".json")
+    scenario.write_text(json.dumps({**base, "task": task}))
+    assert cli.main([subcommand, "--scenario", str(scenario), "--out", str(root / name)]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def fresh_cli_runs(root, **env):
+    """Run FRESH_CLI_RUNS into ``root`` with ``env`` added to the environment;
+    its last stdout line, the scipy modules loaded."""
+    root.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
+    scenario = REPO / "scenarios" / "rydberg_pair.json"
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI_RUNS, str(root), str(scenario)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return out.stdout.splitlines()[-1]
+
+
+# The files a run writes do not depend on the number of BLAS threads.
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    one = tmp_path / "one"
+    two = tmp_path / "two"
+    fresh_cli_runs(one, OPENBLAS_NUM_THREADS="1")
+    fresh_cli_runs(two, OPENBLAS_NUM_THREADS="2")
+    for run_dir in sorted(p for p in one.iterdir() if p.is_dir()):
+        written = _written(run_dir)
+        assert written and written == _written(two / run_dir.name)
+
+
 class TestSharedParser:
     """``main`` builds the parser once per process; a later call behaves as
     it would in a process of its own."""

@@ -4,9 +4,11 @@ Every run calls ``floquetdd.cli.main`` in-process and is reduced to a record:
 the exit code, stdout, the ``error:`` line of stderr (the rest of stderr
 holds wall-clock time) and the SHA-256 of every file written to the output
 directory.  ``tests/golden.json`` holds the expected record of each run and
-the Python, numpy and scipy versions it was made with: libm, pocketfft and
-LAPACK decide the last bits of the outputs, so a manifest made under other
-versions is reported as such instead of as a list of changed hashes.
+the Python and numpy versions it was made with: libm, pocketfft and LAPACK
+decide the last bits of the outputs, so a manifest made under other versions
+is reported as such instead of as a list of changed hashes.  No run loads
+scipy (``tests/test_bath.py::TestConstants::test_import_loads_no_scipy``),
+so its version is not recorded.
 
 Rewrite the manifest after an intended output change with
 
@@ -30,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from floquetdd import cli
 from floquetdd import io as floquetdd_io
@@ -191,7 +192,7 @@ USAGE = {
 
 
 def _versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"python": platform.python_version(), "numpy": np.__version__}
 
 
 def _record(name: str, tmp_path: Path) -> dict:

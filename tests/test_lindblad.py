@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from scipy.integrate import solve_ivp
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
 from floquetdd.errors import HierarchyViolationError, PhysicsError, SteadyStateDegeneracyError
 from floquetdd import lindblad
+from floquetdd.cli import main
 from floquetdd.floquet import DriveParams, TimeGrid, dressed_states, floquet_solve, kron
 from floquetdd.lindblad import (
     DRESSED_PAIR_LABELS,
@@ -27,6 +31,7 @@ from floquetdd.lindblad import (
 from oracles import (
     eigvalsh_validate,
     kron_liouvillian,
+    mp_expm,
     rotated_populations,
     stepwise_evolve,
 )
@@ -264,6 +269,84 @@ class TestEvolve:
         finally:
             tracemalloc.stop()
         assert peak / 1e3 / times.size < self.PEAK_KB_PER_TIME
+
+
+@pytest.fixture(scope="module")
+def golden_steps(tmp_path_factory):
+    """The step matrix L dt of every golden evolve and compare run, by name."""
+    from test_golden import RUNS
+
+    steps = {}
+    expm = lindblad._expm
+
+    def recorded(a):
+        steps[f"{name}-{len(steps)}"] = a.copy()
+        return expm(a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lindblad, "_expm", recorded)
+        for name, (subcommand, scenario) in RUNS.items():
+            if subcommand in ("evolve", "compare"):
+                path = tmp_path_factory.mktemp(name) / "scenario.json"
+                path.write_text(json.dumps(scenario))
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    main([subcommand, "--scenario", str(path), "--out", str(path.parent / "out")])
+    return steps
+
+
+def _random_generators():
+    """Seeded Liouvillians scaled to ||A||_1 = 1e-3 ... 1e4: a two-level atom
+    with a random Hamiltonian and two random channels, and one with a
+    diagonal Hamiltonian and decay only, whose Liouvillian is triangular."""
+    rng = np.random.default_rng(20250)
+    out = {}
+    for norm in 10.0 ** np.arange(-3, 5):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        jumps = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        dense = LindbladModel(hamiltonian=a + a.conj().T, channels=((1.0, jumps[0]), (0.1, jumps[1])))
+        decay = LindbladModel(hamiltonian=rng.standard_normal() * SZ, channels=((rng.random(), LOWER),))
+        for label, model in (("dense", dense), ("triangular", decay)):
+            liou = build_liouvillian(model)
+            out[f"{label}-{norm:.0e}"] = liou * (norm / np.abs(liou).sum(axis=0).max())
+    return out
+
+
+RANDOM_GENERATORS = _random_generators()
+
+
+class TestExpm:
+    """``_expm`` against mpmath's exponential at 40 digits."""
+
+    # max |X - exp(A)| / max |exp(A)| <= EXPM_ERROR * u * max(||A||_1, 1), u =
+    # 2^-53: a scaling and squaring has a backward error of about u, and the
+    # condition of exp grows with ||A||_1.  Measured: at most 1.41 (one
+    # rounding of an entry near 1 with the oracle's own rounding); scipy's
+    # expm on the same matrices also 1.41.  The largest errors in absolute
+    # terms are 7.8e-10 for _expm and 6.7e-10 for scipy, on the 1e7-norm step
+    # of the golden exit2-long-evolve run.
+    EXPM_ERROR = 4.0
+
+    def _check(self, a):
+        exact = mp_expm(a)
+        error = np.abs(lindblad._expm(a) - exact).max() / np.abs(exact).max()
+        assert error <= self.EXPM_ERROR * 2.0**-53 * max(np.abs(a).sum(axis=0).max(), 1.0)
+
+    def test_golden_steps(self, golden_steps):
+        # two steps of each compare run that evolves (rydberg, warm) and one
+        # of each evolve run that gets that far (exit2-long-evolve included)
+        assert len(golden_steps) == 11
+        for a in golden_steps.values():
+            self._check(a)
+
+    @pytest.mark.parametrize("a", RANDOM_GENERATORS.values(), ids=list(RANDOM_GENERATORS))
+    def test_random_generators(self, a):
+        self._check(a)
+
+    def test_zero_and_non_finite(self):
+        assert np.array_equal(lindblad._expm(np.zeros((4, 4), dtype=complex)), np.eye(4))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.all(np.isnan(lindblad._expm(np.full((4, 4), np.inf, dtype=complex))))
+            assert np.all(np.isnan(lindblad._expm(np.full((4, 4), 1e200, dtype=complex))))
 
 
 @pytest.fixture(scope="module")

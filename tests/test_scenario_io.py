@@ -525,7 +525,7 @@ class TestJsonEmission:
         bundle = ResultBundle(
             task="demo", inputs={}, outputs={"bad": float("inf")}, version="0"
         )
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="internal error: non-finite value reached JSON emission"):
             emit_json(bundle, tmp_path / "bad.json")
 
     @pytest.mark.parametrize(
@@ -541,6 +541,16 @@ class TestJsonEmission:
         path = tmp_path / "bad.json"
         with pytest.raises(RuntimeError, match="non-finite value reached JSON emission"):
             emit_json(bundle, path)
+        assert not path.exists()
+
+    def test_cycle_refusal_names_its_own_cause(self, tmp_path):
+        outputs = {"value": 1.0}
+        outputs["self"] = outputs
+        bundle = ResultBundle(task="demo", inputs={}, outputs=outputs, version="0")
+        path = tmp_path / "cycle.json"
+        with pytest.raises(RuntimeError, match="cannot be written as JSON: Circular reference detected") as err:
+            emit_json(bundle, path)
+        assert "non-finite" not in str(err.value)
         assert not path.exists()
 
     @pytest.mark.parametrize(
