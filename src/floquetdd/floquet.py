@@ -25,9 +25,14 @@ in a log-depth prefix scan and unfolds the second half by parity alone:
 samples unfolded by time reversal drift from the sequential product by
 more than the 1e-13 it holds every sample to.  The quasienergy map steps
 n_samples / 4 times per cell, then unfolds by time reversal and parity; it
-builds its steps a cache-sized chunk at a time and multiplies them into
-the cells one by one, in order, so the map does not depend on the chunk
-size to the last bit.
+builds its steps a cache-sized chunk at a time, in memory allocated once
+per call, and multiplies them into the cells one by one, in order, so the
+map does not depend on the chunk size to the last bit.  Nor on the number
+of cells: numpy's complex product rounds through a fused multiply-add and
+is not commutative to the last bit, so every complex product here is an
+explicit ufunc call with its operands in a fixed order, where operators
+would let numpy's temporary elision swap them in arrays from 16,384
+entries on.
 Both take the quasienergies +-mu, mu in [0, omega/2], from the eigenphase
 of the one-period (monodromy) pair, so none needs folding;
 ``floquet_solve`` reads the Floquet vectors from the same pair in closed
@@ -91,6 +96,12 @@ _CF4_NODE_1 = 0.5 - np.sqrt(3.0) / 6.0
 _CF4_NODE_2 = 0.5 + np.sqrt(3.0) / 6.0
 _CF4_A1 = 0.25 - np.sqrt(3.0) / 6.0
 _CF4_A2 = 0.25 + np.sqrt(3.0) / 6.0
+# The two exponentials of a step as one stack: the nodes, and the weight of
+# the drive at each node in the first and in the second exponential.
+_CF4_NODES = np.array([_CF4_NODE_1, _CF4_NODE_2])
+_CF4_NODE_1_WEIGHTS = np.array([_CF4_A2, _CF4_A1])
+_CF4_NODE_2_WEIGHTS = np.array([_CF4_A1, _CF4_A2])
+_TINY = np.nextafter(0.0, 1.0)
 
 # A quasienergy spacing below this fraction of omega counts as a collision:
 # floquet_solve cannot separate the two branches there, and tau_mu diverges.
@@ -105,8 +116,8 @@ _BRANCH_TIE_TOL = 1e-12
 # the discarded Fourier weight is below _DISCARDED_WEIGHT_TOL.
 _MIN_TRUNCATION = 16
 # Cell-steps the quasienergy map builds in one call of _cf4_steps: the
-# roughly ten temporaries of a chunk (64 kB each as complex) stay in cache,
-# while a small grid still builds many steps per numpy call.
+# build's memory, five chunk-sized arrays (64 kB each as complex), stays in
+# cache, while a small grid still builds many steps per numpy call.
 _CHUNK = 4096
 
 
@@ -236,22 +247,19 @@ class FloquetSolution:
         return np.sum(np.abs(self.fourier[branch]) ** 2, axis=-1)
 
 
-def _su2_exponentials(px: np.ndarray, pz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i (px*sigma_x + pz*sigma_z)) as the SU(2) pair (alpha, beta).
-
-    The pair stands for U = [[alpha, beta], [-conj(beta), conj(alpha)]].
-    Exact for every input; broadcasts over the coefficient arrays.
-    """
-    angle = np.hypot(px, pz)
-    # sin(a)/a is 1 at a=0; the where-guard avoids 0/0.
-    safe = np.where(angle == 0.0, 1.0, angle)
-    sinc = np.where(angle == 0.0, 1.0, np.sin(safe) / safe)
-    return np.cos(angle) - 1j * sinc * pz, -1j * sinc * px
-
-
 def _su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
-    """The SU(2) pair of U1 @ U2, elementwise over broadcast pairs."""
-    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+    """The SU(2) pair of U1 @ U2, elementwise over broadcast pairs.
+
+    Explicit ufunc calls keep every operand in its place.  Written with
+    operators, numpy's temporary elision computes ``b1 * conj(b2)`` as
+    ``conj(b2) * b1`` once the conjugate reaches 256 KiB (16,384 complex
+    entries), and the imaginary part of numpy's complex product, formed with
+    a fused multiply-add, is not commutative to the last bit: the result
+    would depend on the array size.
+    """
+    a = np.subtract(np.multiply(a1, a2), np.multiply(b1, np.conj(b2)))
+    b = np.add(np.multiply(a1, b2), np.multiply(b1, np.conj(a2)))
+    return a, b
 
 
 def _su2_eigenphase(a, b) -> np.ndarray:
@@ -264,14 +272,58 @@ def _su2_eigenphase(a, b) -> np.ndarray:
     return np.arctan2(np.sqrt(np.imag(a) ** 2 + np.abs(b) ** 2), np.real(a))
 
 
-def _cf4_steps(rabi, omega_eg, omega: float, dt: float, t0) -> tuple[np.ndarray, np.ndarray]:
-    """SU(2) pairs of the CF4 step U(t0 + dt, t0), broadcast over the inputs."""
-    hx1 = rabi * np.cos(omega * (t0 + _CF4_NODE_1 * dt))
-    hx2 = rabi * np.cos(omega * (t0 + _CF4_NODE_2 * dt))
+def _cf4_steps(rabi, omega_eg, omega: float, dt: float, t0, work=None) -> tuple[np.ndarray, np.ndarray]:
+    """SU(2) pairs of the CF4 step U(t0 + dt, t0), broadcast over the inputs (at least 1-d).
+
+    The step is exp(-i (px2 sigma_x + pz sigma_z)) after exp(-i (px1 sigma_x
+    + pz sigma_z)).  Each factor is the pair alpha = cos(angle) - i sinc(angle)
+    pz, beta = -i sinc(angle) px, angle = hypot(px, pz), and both factors go
+    through one stacked hypot, cos, sin and divide.  The product of the two
+    is formed from the real and imaginary parts: beta is imaginary, so each
+    of its terms is one real product, and only alpha2 alpha1 takes a complex
+    multiplication, with the operands in the order of :func:`_su2_product`.
+    Every value is that of the complex pair arithmetic, bit for bit; only a
+    zero may take the other sign, where the angle of a step exceeds pi.
+
+    ``work``, if given, is the memory the build writes into, to be reused
+    across calls: two complex arrays and one real array, each of shape
+    ``(2,) + the broadcast shape``.  The pairs returned are views of its
+    first array (of a new one without ``work``): the alphas, then the betas.
+    """
+    # Index 0 of every stack is the first factor, index 1 the second, on an
+    # axis ahead of those the inputs broadcast over.
+    stack = (2,) + (1,) * max(1, np.ndim(rabi), np.ndim(omega_eg), np.ndim(t0))
+    hx1, hx2 = rabi * np.cos(omega * (t0 + (_CF4_NODES * dt).reshape(stack)))
+    px = dt * (_CF4_NODE_1_WEIGHTS.reshape(stack) * hx1 + _CF4_NODE_2_WEIGHTS.reshape(stack) * hx2)
     pz = dt * 0.5 * (0.5 * omega_eg)
-    first = _su2_exponentials(dt * (_CF4_A2 * hx1 + _CF4_A1 * hx2), pz)
-    second = _su2_exponentials(dt * (_CF4_A1 * hx1 + _CF4_A2 * hx2), pz)
-    return _su2_product(*second, *first)
+
+    if work is None:
+        angle = np.hypot(px, pz)
+        steps, factors = np.empty((2,) + angle.shape, dtype=complex)
+    else:
+        steps, factors, angle = work
+        np.hypot(px, pz, out=angle)
+    c, s = factors.real, factors.imag
+    np.cos(angle, out=c)
+    # sin(a)/a is 1 at a = 0: a zero angle becomes the least subnormal,
+    # whose sine is itself, which avoids 0/0 without a mask.  The sines pass
+    # through s, and sinc, then Im beta, takes the place of the angle.
+    np.maximum(angle, _TINY, out=angle)
+    sinc = np.divide(np.sin(angle, out=s), angle, out=angle)
+    np.multiply(sinc, np.subtract(0.0, pz), out=s)
+    y = np.multiply(sinc, np.subtract(0.0, px), out=sinc)
+
+    a, b = steps
+    # b = alpha2 beta1 + beta2 conj(alpha1), with a as scratch.
+    np.subtract(np.multiply(y[1], s[0], out=b.real), np.multiply(s[1], y[0], out=a.real), out=b.real)
+    np.add(np.multiply(c[1], y[0], out=b.imag), np.multiply(y[1], c[0], out=a.real), out=b.imag)
+    # a = alpha2 alpha1 - beta2 conj(beta1), where beta2 conj(beta1) is real.
+    # The product writes into a buffer apart from its operands: numpy
+    # multiplies a single complex entry in place without the fused
+    # multiply-add.
+    np.multiply(factors[1], factors[0], out=a)
+    np.subtract(a.real, np.multiply(y[0], y[1], out=y[0]), out=a.real)
+    return a, b
 
 
 def propagate_period(drive: DriveParams, grid: TimeGrid) -> np.ndarray:
@@ -392,23 +444,29 @@ def floquet_solve(drive: DriveParams, grid: TimeGrid) -> FloquetSolution:
     # from the propagator entries: the products and sums of U(t_k, 0) @ v_b.
     p00, p01 = propagators[:-1, 0, 0], propagators[:-1, 0, 1]
     p10, p11 = propagators[:-1, 1, 0], propagators[:-1, 1, 1]
+    # mu_minus = -mu_plus, so the "-" phases are the conjugates of the "+" ones.
+    plus_phases = np.exp(1j * mus[plus] * times)
     modes = np.empty((2, grid.n_samples, 2), dtype=complex)
-    for row, branch in enumerate((plus, minus)):
-        phases = np.exp(1j * mus[branch] * times)
+    for row, (branch, phases) in enumerate(((plus, plus_phases), (minus, np.conj(plus_phases)))):
         x0, x1 = vectors[:, branch]
         modes[row, :, 0] = phases * (p00 * x0 + p01 * x1)
         modes[row, :, 1] = phases * (p10 * x0 + p11 * x1)
 
     # phi^(n) = (1/T) integral phi(t) e^{-i n w t} dt  ->  forward DFT / n.
     spectra = np.fft.fft(modes, axis=1) / grid.n_samples
-    weights = np.sum(np.abs(spectra) ** 2, axis=-1)
 
+    # |phi^(n)|^2 summed over components, formed at the sidebands n as the
+    # cutoff first keeps them: those of 16, then the four each step adds.
+    weights = np.empty((2, grid.n_samples))
+    added = np.r_[0 : _MIN_TRUNCATION + 1, -_MIN_TRUNCATION:0]
     cap = grid.n_samples // 4
     for m_kept in range(_MIN_TRUNCATION, cap + 1, 2):
+        weights[:, added] = np.sum(np.abs(spectra[:, added]) ** 2, axis=-1)
         kept = np.concatenate([np.arange(0, m_kept + 1), np.arange(-m_kept, 0)])
         discarded = 1.0 - weights[:, kept].sum(axis=1).min()
         if discarded < _DISCARDED_WEIGHT_TOL:
             break
+        added = np.array([m_kept + 1, m_kept + 2, -m_kept - 2, -m_kept - 1])
     else:
         raise SidebandTruncationError(
             f"Floquet modes not resolved: {discarded:.1e} of their Fourier weight "
@@ -447,10 +505,11 @@ def quasienergy_magnitude_map(
     U(T) = sigma_z U(T/2) sigma_z U(T/2), one pair product each (Grifoni &
     Hanggi, Phys. Rep. 304, 229 (1998)), the same monodromy as stepping
     all n_samples to round-off.  The steps are built a chunk of about
-    4096 cell-steps per call (one step per chunk on larger grids), each
-    chunk freed before the next, and multiplied into the cells one by one
-    in time order: every map is bit for bit the one built step by step
-    (``tests/oracles.py``).  Returns
+    4096 cell-steps per call (one step per chunk on larger grids), into
+    memory allocated once per call, and multiplied into the cells one by
+    one in time order: every map is bit for bit the one built step by step
+    (``tests/oracles.py``), and no cell depends on how many cells the map
+    holds, so a thread split of the grid changes no bit.  Returns
     two arrays of shape ``(len(rabi_values), len(omega_eg_values))``: the
     quasienergy magnitude |mu_+| in [0, omega/2] and the monodromy
     half-trace Re alpha = cos(mu_+ T), whose sign changes mark the
@@ -469,18 +528,44 @@ def quasienergy_magnitude_map(
 
     rr = rabi[:, None]
     ee = omega_eg[None, :]
-    a = np.ones((rabi.size, omega_eg.size), dtype=complex)
-    b = np.zeros_like(a)
-    steps = n_samples // 4
-    per = max(1, min(steps, _CHUNK // a.size))
-    for start in range(0, steps, per):
-        t0 = (np.arange(start, min(start + per, steps)) * dt)[:, None, None]
-        step_a, step_b = _cf4_steps(rr, ee, omega, dt, t0)
-        for k in range(step_a.shape[0]):
-            a, b = _su2_product(step_a[k], step_b[k], a, b)
-        # Held over into the next chunk's build, these steps would raise the
-        # peak of a grid above _CHUNK cells from 9 to 11 cell-sized arrays.
-        del step_a, step_b
+    # _su2_product(alpha, beta, a, b) of every step, on the cells' (a, conj b):
+    #   a <- alpha a - beta conj(b),  conj(b) <- conj(alpha) conj(b) + conj(beta) a,
+    # four complex products and no conjugation per step, as conj(x) conj(y)
+    # is conj(x y) bit for bit, but for the sign of a zero, which reaches
+    # neither output.  The conjugate steps go into the build's
+    # second array, free once it returns.  The results land in two flat
+    # buffers apart from their operands: numpy multiplies a single complex
+    # entry in place without the fused multiply-add.  All of this memory is
+    # allocated once: fresh arrays for every chunk of a large grid cost more
+    # in page faults than the build itself.
+    cells = rabi.size * omega_eg.size
+    a = np.ones(cells, dtype=complex)
+    conj_b = np.zeros(cells, dtype=complex)
+    term = np.empty(cells, dtype=complex)
+    spare = np.empty(cells, dtype=complex)
+    quarter = n_samples // 4
+    per = max(1, min(quarter, _CHUNK // cells))
+    shape = (2, per, rabi.size, omega_eg.size)
+    work = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), np.empty(shape))
+    for start in range(0, quarter, per):
+        count = min(per, quarter - start)
+        t0 = (np.arange(start, start + count) * dt)[:, None, None]
+        chunk = [w[:, :count] for w in work]
+        steps = chunk[0].reshape(2, count, cells)
+        _cf4_steps(rr, ee, omega, dt, t0, chunk)  # into chunk[0], that is, steps
+        conj_steps = np.conjugate(steps, out=chunk[1].reshape(2, count, cells))
+        for alpha, beta, conj_alpha, conj_beta in zip(*steps, *conj_steps):
+            np.multiply(alpha, a, out=term)
+            np.multiply(beta, conj_b, out=spare)
+            np.subtract(term, spare, out=term)
+            np.multiply(conj_alpha, conj_b, out=spare)
+            np.multiply(conj_beta, a, out=conj_b)
+            np.add(spare, conj_b, out=conj_b)
+            a, term = term, a
+    # Freed before the unfolding, which takes its own temporaries.
+    del work, chunk, steps, conj_steps, alpha, beta, conj_alpha, conj_beta, term, spare
+    a = a.reshape(rabi.size, omega_eg.size)
+    b = np.conjugate(conj_b).reshape(rabi.size, omega_eg.size)
     # Time reversal gives U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4), then
     # half-period parity U(T) = sigma_z U(T/2) sigma_z U(T/2).
     a, b = _su2_product(a, np.conj(b), a, b)

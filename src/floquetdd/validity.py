@@ -128,8 +128,10 @@ def scan_tau_map(
     """Vectorized tau_mu^-1 map over drive strength and atomic splitting.
 
     Each cell is an independent monodromy computation; rows are chunked
-    across a thread pool when ``threads`` > 1 (results are identical for
-    any thread count).  A cell is ``diverged`` when its minimal spacing
+    across a thread pool when ``threads`` > 1.  The results are the same
+    bits for any thread count and grid size: no value of
+    :func:`quasienergy_magnitude_map` depends on how many cells it is
+    given.  A cell is ``diverged`` when its minimal spacing
     lies below the floor of :func:`tau_mu`, where its tau_mu^-1 is 0, or
     when it borders a stripe crossing, where its value is kept.
     """

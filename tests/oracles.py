@@ -12,6 +12,13 @@ None of these is used by the package itself:
   propagation code, and the sideband matrix elements as convolutions of its
   Fourier blocks, an oracle of :func:`floquetdd.dipole.matrix_elements`
 * the zone fold of a quasienergy, for the rotating-wave references
+* the CF4 step builder, the SU(2) pair product, the period propagation and
+  the quasienergy map as they were before the step builder was rewritten
+  to work on real and imaginary parts in preallocated buffers, the
+  bit-exact oracle of :func:`floquetdd.floquet.propagate_period` and
+  :func:`floquetdd.floquet.quasienergy_magnitude_map` (the stepwise map
+  below calls the package's own builder and product, so it cannot catch
+  a changed digit in them)
 * the quasienergy map stepped through the whole period, the oracle of the
   symmetry unfolding in :func:`floquetdd.floquet.quasienergy_magnitude_map`,
   and its quarter period built one step per call, the bit-exact oracle of
@@ -46,11 +53,16 @@ from scipy.linalg import expm
 from floquetdd.bath import AtomGeometry, BathParams, gamma_thermal_pair, gamma_thermal_single
 from floquetdd.dipole import MatrixElementTable
 from floquetdd.floquet import (
+    _CF4_A1,
+    _CF4_A2,
+    _CF4_NODE_1,
+    _CF4_NODE_2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DriveParams,
     FloquetSolution,
+    TimeGrid,
     _cf4_steps,
     _su2_eigenphase,
     _su2_product,
@@ -423,6 +435,97 @@ def stepwise_quarter_map(rabi_values, omega_eg_values, omega: float, n_samples: 
     a, b = _su2_product(a, np.conj(b), a, b)
     a, b = _su2_product(a, -b, a, b)
     return _su2_eigenphase(a, b) / period, np.real(a)
+
+
+def frozen_su2_exponentials(px: np.ndarray, pz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i (px*sigma_x + pz*sigma_z)) as the SU(2) pair (alpha, beta).
+
+    The pair stands for U = [[alpha, beta], [-conj(beta), conj(alpha)]].
+    Exact for every input; broadcasts over the coefficient arrays.
+    """
+    angle = np.hypot(px, pz)
+    # sin(a)/a is 1 at a=0; the where-guard avoids 0/0.
+    safe = np.where(angle == 0.0, 1.0, angle)
+    sinc = np.where(angle == 0.0, 1.0, np.sin(safe) / safe)
+    return np.cos(angle) - 1j * sinc * pz, -1j * sinc * px
+
+
+def frozen_su2_product(a1, b1, a2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """The SU(2) pair of U1 @ U2, elementwise over broadcast pairs.
+
+    Written with operators: from 16,384 entries on, numpy's temporary
+    elision computes ``b1 * np.conj(b2)`` as ``conj(b2) * b1``, which
+    differs in the last bit of the imaginary part.  Below that size it is
+    the package's product bit for bit.
+    """
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def frozen_cf4_steps(rabi, omega_eg, omega: float, dt: float, t0) -> tuple[np.ndarray, np.ndarray]:
+    """SU(2) pairs of the CF4 step U(t0 + dt, t0), broadcast over the inputs."""
+    hx1 = rabi * np.cos(omega * (t0 + _CF4_NODE_1 * dt))
+    hx2 = rabi * np.cos(omega * (t0 + _CF4_NODE_2 * dt))
+    pz = dt * 0.5 * (0.5 * omega_eg)
+    first = frozen_su2_exponentials(dt * (_CF4_A2 * hx1 + _CF4_A1 * hx2), pz)
+    second = frozen_su2_exponentials(dt * (_CF4_A1 * hx1 + _CF4_A2 * hx2), pz)
+    return frozen_su2_product(*second, *first)
+
+
+def frozen_propagate_period(drive: DriveParams, grid: TimeGrid) -> np.ndarray:
+    """U(t_k, 0) over one period, shape (n_samples + 1, 2, 2), from the frozen builder and product."""
+    dt = grid.period / grid.n_samples
+    half = grid.n_samples // 2
+    a, b = frozen_cf4_steps(drive.rabi, drive.omega_eg, drive.omega, dt, np.arange(half) * dt)
+    shift = 1
+    while shift < half:
+        # Later steps act from the left: x[k] <- x[k] @ x[k - shift].
+        a[shift:], b[shift:] = frozen_su2_product(a[shift:], b[shift:], a[:-shift], b[:-shift])
+        shift *= 2
+    later_a, later_b = frozen_su2_product(a, -b, a[-1], b[-1])
+    a, b = np.concatenate((a, later_a)), np.concatenate((b, later_b))
+    out = np.empty((grid.n_samples + 1, 2, 2), dtype=complex)
+    out[0] = np.eye(2)
+    out[1:, 0, 0] = a
+    out[1:, 0, 1] = b
+    out[1:, 1, 0] = -np.conj(b)
+    out[1:, 1, 1] = np.conj(a)
+    return out
+
+
+# Cell-steps the frozen map builds in one call of frozen_cf4_steps.
+_FROZEN_CHUNK = 4096
+
+
+def frozen_quasienergy_map(rabi_values, omega_eg_values, omega: float, n_samples: int):
+    """|mu_+| and Re alpha of every grid cell, from the frozen builder and product in chunks.
+
+    The chunked map loop of :func:`floquetdd.floquet.quasienergy_magnitude_map`
+    as it was before its step builder was rewritten.  Returns arrays of
+    shape ``(len(rabi_values), len(omega_eg_values))``.
+    """
+    rabi = np.asarray(rabi_values, dtype=float)
+    omega_eg = np.asarray(omega_eg_values, dtype=float)
+    grid = TimeGrid(n_samples, 2.0 * np.pi / omega)
+    dt = grid.period / grid.n_samples
+
+    rr = rabi[:, None]
+    ee = omega_eg[None, :]
+    a = np.ones((rabi.size, omega_eg.size), dtype=complex)
+    b = np.zeros_like(a)
+    steps = n_samples // 4
+    per = max(1, min(steps, _FROZEN_CHUNK // a.size))
+    for start in range(0, steps, per):
+        t0 = (np.arange(start, min(start + per, steps)) * dt)[:, None, None]
+        step_a, step_b = frozen_cf4_steps(rr, ee, omega, dt, t0)
+        for k in range(step_a.shape[0]):
+            a, b = frozen_su2_product(step_a[k], step_b[k], a, b)
+        del step_a, step_b
+    # Time reversal gives U(T/2) = sigma_z U(T/4)^T sigma_z U(T/4), then
+    # half-period parity U(T) = sigma_z U(T/2) sigma_z U(T/2).
+    a, b = frozen_su2_product(a, np.conj(b), a, b)
+    a, b = frozen_su2_product(a, -b, a, b)
+
+    return _su2_eigenphase(a, b) / grid.period, np.real(a)
 
 
 def stepwise_evolve(model: LindbladModel, rho0: np.ndarray, times) -> np.ndarray:

@@ -598,6 +598,23 @@ class TestPipelineCommands:
         scenario = write_scenario(
             tmp_path, numerics={"n_samples": 256}, task=taumap_task(n_rabi=8, n_omega_eg=5)
         )
+        self.assert_threads_write_same_bytes(scenario, tmp_path)
+
+    # 130 x 130 cells reach the size at which numpy's temporary elision
+    # reordered the operator-written SU(2) product: the two files differed.
+    def test_taumap_threads_same_bytes_on_a_large_grid(self, tmp_path):
+        task = taumap_task(
+            rabi_over_omega_max=0.8,
+            omega_eg_over_omega_min=0.1,
+            omega_eg_over_omega_max=1.9,
+            n_rabi=130,
+            n_omega_eg=130,
+        )
+        scenario = write_scenario(tmp_path, numerics={"n_samples": 64}, task=task)
+        self.assert_threads_write_same_bytes(scenario, tmp_path)
+
+    @staticmethod
+    def assert_threads_write_same_bytes(scenario, tmp_path):
         one, two = tmp_path / "one", tmp_path / "two"
         assert run("taumap", scenario, one, "--threads", "1") == 0
         assert run("taumap", scenario, two, "--threads", "2") == 0

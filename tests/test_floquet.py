@@ -24,7 +24,14 @@ from floquetdd.floquet import (
 )
 from floquetdd import validity
 from floquetdd.validity import scan_tau_map, tau_mu
-from oracles import fold_to_zone, full_period_monodromy_map, sambe_floquet, stepwise_quarter_map
+from oracles import (
+    fold_to_zone,
+    frozen_propagate_period,
+    frozen_quasienergy_map,
+    full_period_monodromy_map,
+    sambe_floquet,
+    stepwise_quarter_map,
+)
 
 OMEGA = 1e10
 
@@ -542,15 +549,78 @@ class TestChunkedStepBuild:
         assert np.array_equal(one.diverged, two.diverged)
 
 
+class TestFrozenKernel:
+    # Oracle: the step builder, pair product, period propagation and map
+    # loop as they were before the builder was rewritten (tests/oracles.py).
+    # The stepwise map above calls the package's own builder and product,
+    # so only this one can catch a changed digit in them.  Every grid here
+    # stays below 16,384 cells, where the frozen product is free of
+    # numpy's temporary elision.
+    @staticmethod
+    def assert_equals_frozen(rabi, omega_eg, n):
+        mu_abs, half_trace = quasienergy_magnitude_map(rabi, omega_eg, OMEGA, n)
+        mu_ref, trace_ref = frozen_quasienergy_map(rabi, omega_eg, OMEGA, n)
+        assert np.array_equal(mu_abs, mu_ref)
+        assert np.array_equal(half_trace, trace_ref)
+        assert np.array_equal(np.signbit(half_trace), np.signbit(trace_ref))
+
+    @pytest.mark.parametrize(
+        "n_rabi, n_omega_eg, n",
+        [(1, 1, 64), (5, 5, 256), (18, 18, 512), (65, 65, 64)],
+        ids=["1x1-64", "5x5-256", "18x18-512-remainder", "65x65-64-one-step"],
+    )
+    def test_map_equals_the_frozen_kernel(self, n_rabi, n_omega_eg, n):
+        self.assert_equals_frozen(*map_axes(n_rabi, n_omega_eg), n)
+
+    # omega_eg from 0: the undriven cell at omega_eg = 0 has zero angles, and
+    # the suite turns the RuntimeWarning of a 0/0 into an error.
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_rabi=st.integers(1, 70),
+        n_omega_eg=st.integers(1, 70),
+        log2_n=st.integers(6, 10),
+    )
+    def test_any_grid_equals_the_frozen_kernel(self, n_rabi, n_omega_eg, log2_n):
+        rabi = np.linspace(0.0, 0.8 * OMEGA, n_rabi)
+        omega_eg = np.linspace(0.0, 1.9 * OMEGA, n_omega_eg)
+        self.assert_equals_frozen(rabi, omega_eg, 2**log2_n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rabi_frac=st.just(0.0) | st.floats(0.0, 0.8),
+        omega_eg_frac=st.floats(0.1, 1.9),
+        log2_n=st.integers(6, 11),
+    )
+    def test_propagation_equals_the_frozen_kernel(self, rabi_frac, omega_eg_frac, log2_n):
+        drive = DriveParams(omega=OMEGA, rabi=rabi_frac * OMEGA, omega_eg=omega_eg_frac * OMEGA)
+        grid = TimeGrid.for_drive(drive, 2**log2_n)
+        got, want = propagate_period(drive, grid), frozen_propagate_period(drive, grid)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+
+    # 16,384 complex entries are 256 KiB, where numpy's temporary elision
+    # starts: written with operators, the product computed b1 * conj(b2) of
+    # the whole stack as conj(b2) * b1, and its halves as written.
+    def test_product_does_not_depend_on_the_array_size(self):
+        rng = np.random.default_rng(0)
+        pairs = [rng.normal(size=(2, 8192)) + 1j * rng.normal(size=(2, 8192)) for _ in range(4)]
+        whole = floquet._su2_product(*pairs)
+        halves = [floquet._su2_product(*(x[k] for x in pairs)) for k in (0, 1)]
+        for j in (0, 1):
+            assert np.array_equal(whole[j], np.stack([half[j] for half in halves]))
+
+
 class TestMapWorkingMemory:
     """tracemalloc peak of one map call; a cell-sized array holds one complex (16 B) per cell."""
 
-    # Above the chunk size the map holds one step per chunk, freed before the
-    # next is built.  Measured: 9.01 at 300x300/64; without that release a
-    # chunked build peaked near 11.
+    # Above the chunk size the map builds one step per chunk, in memory it
+    # allocates once per call: four cell-sized arrays for the cells and five
+    # for the build.  Measured: 9.10 at 300x300/64 (9.01 when every chunk
+    # allocated its own and freed it before the next).
     LARGE_GRID_CELL_ARRAYS = 9.5
-    # Below it the chunk's temporaries set the peak, whatever the grid:
-    # measured 0.514 MB at 18x18/512, under ten chunk-sized complex arrays.
+    # Below it the chunk's memory sets the peak, whatever the grid:
+    # measured 0.469 MB at 18x18/512 (0.514 MB before), under ten
+    # chunk-sized complex arrays.
     SMALL_GRID_PEAK_BYTES = 10 * floquet._CHUNK * 16
 
     @staticmethod

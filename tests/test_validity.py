@@ -166,6 +166,18 @@ class TestScanTauMap:
         assert np.array_equal(a.tau_inv_over_omega, b.tau_inv_over_omega)
         assert np.array_equal(a.diverged, b.diverged)
 
+    # From 16,384 cells on, a whole grid reaches the size at which numpy's
+    # temporary elision reorders an operator-written complex product, while
+    # the two thread halves do not: with the SU(2) product so written, 1,807
+    # and 2,896 cells differed between one and two threads.
+    @pytest.mark.parametrize("side", [130, 181])
+    def test_thread_count_does_not_change_large_grids(self, side):
+        rabi = np.linspace(0.0, 0.8 * OMEGA, side)
+        omega_eg = np.linspace(0.1 * OMEGA, 1.9 * OMEGA, side)
+        one, two = (scan_tau_map(rabi, omega_eg, OMEGA, n_samples=64, threads=t) for t in (1, 2))
+        assert np.array_equal(one.tau_inv_over_omega, two.tau_inv_over_omega)
+        assert np.array_equal(one.diverged, two.diverged)
+
 
 class TestTimescaleReport:
     def test_rydberg_example(self):
